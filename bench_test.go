@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure claim of the paper.
 // Each benchmark reports the paper's own metrics (total moves, ideal
 // time in rounds, peak memory in words) via b.ReportMetric, so
-// `go test -bench=. -benchmem` prints the rows EXPERIMENTS.md records.
+// `go test -bench=. -benchmem` prints the Table 1 rows that cmd/sweep
+// also regenerates.
 package agentring_test
 
 import (
@@ -422,4 +423,31 @@ func BenchmarkExploreParallel(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkExploreLogSpace gates the model check of Algorithms 2+3: the
+// five-agent placement on the 6-ring, the largest state space of the
+// LogSpace -all sweep at that size, searched at workers=1. ns/state and
+// allocs/state feed the benchdiff gate.
+func BenchmarkExploreLogSpace(b *testing.B) {
+	cfg := agentring.Config{N: 6, Homes: []int{0, 1, 2, 3, 4}}
+	var rep agentring.ExploreReport
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := agentring.Explore(context.Background(), agentring.LogSpace, cfg, agentring.ExploreOptions{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !r.Complete || r.Counterexample != nil {
+			b.Fatalf("bad search: %+v", r)
+		}
+		rep = r
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	states := float64(rep.States) * float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/states, "ns/state")
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/states, "allocs/state")
 }

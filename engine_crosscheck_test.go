@@ -40,8 +40,18 @@ func crosscheckPrograms(t *testing.T, alg string, n, k int) []sim.Program {
 			return core.NewAlg1(core.KnowNodes, n)
 		case "logspace":
 			return core.NewAlg2(k)
+		case "logspaceOverK":
+			// Wrong knowledge of k drives Algorithm 2 into its
+			// invariant exits.
+			return core.NewAlg2(k + 1)
+		case "logspaceUnderK":
+			return core.NewAlg2(max(k-1, 1))
 		case "relaxed":
 			return core.NewRelaxed(), nil
+		case "relaxedAblation":
+			// Too few repetitions: agents misestimate more often and
+			// lean on corrections and catch-up.
+			return core.NewRelaxedAblation(2, 3)
 		case "naive":
 			return core.NewNaiveEstimator(), nil
 		case "firstfit":
@@ -83,10 +93,10 @@ func crosscheckScheduler(t *testing.T, kind string) sim.Scheduler {
 // runBoth executes the same (topology, programs, scheduler, faults)
 // setup twice — frames on, frames forced off — and asserts identical
 // observable behaviour.
-func runBoth(t *testing.T, top sim.Topology, alg, sched string, faults sim.FaultSchedule) {
+func runBoth(t *testing.T, top sim.Topology, homes []ring.NodeID, alg, sched string, faults sim.FaultSchedule) {
 	t.Helper()
 	n := top.Size()
-	k := len(crosscheckHomes)
+	k := len(homes)
 	type outcome struct {
 		trace     string
 		key       uint64
@@ -95,9 +105,12 @@ func runBoth(t *testing.T, top sim.Topology, alg, sched string, faults sim.Fault
 		steps     int
 		err       error
 	}
+	if _, ok := crosscheckPrograms(t, alg, n, k)[0].(sim.Framer); !ok {
+		t.Fatalf("%s has no frame: the cross-check would compare the coroutine with itself", alg)
+	}
 	exec := func(force bool) outcome {
 		trace := sim.NewTrace(1 << 20)
-		e, err := sim.NewEngine(top, crosscheckHomes, crosscheckPrograms(t, alg, n, k), sim.Options{
+		e, err := sim.NewEngine(top, homes, crosscheckPrograms(t, alg, n, k), sim.Options{
 			Scheduler:      crosscheckScheduler(t, sched),
 			Trace:          trace,
 			TrackState:     true,
@@ -148,8 +161,31 @@ func TestFrameCoroutineCrossCheck(t *testing.T) {
 	for _, alg := range algs {
 		for _, sched := range scheds {
 			t.Run(alg+"/"+sched, func(t *testing.T) {
-				runBoth(t, ring.MustNew(crosscheckN), alg, sched, nil)
+				runBoth(t, ring.MustNew(crosscheckN), crosscheckHomes, alg, sched, nil)
 			})
+		}
+	}
+}
+
+// TestFrameCoroutineCrossCheckHomes drives the frame branches the
+// golden configuration never reaches: a rotation-symmetric placement
+// (Algorithm 2 decides "identical" in its first sub-phase), a lone agent
+// (it wraps the ring alone), and a placement whose dense cluster makes
+// relaxed agents misestimate n'=1, suspend, and adopt a correction. The
+// wrong-k LogSpace variants reach its invariant exits.
+func TestFrameCoroutineCrossCheckHomes(t *testing.T) {
+	placements := map[string][]ring.NodeID{
+		"symmetric":   {0, 6, 12, 18, 24, 30},
+		"lone":        {5},
+		"misestimate": {0, 1, 2, 3, 4, 20},
+	}
+	for name, homes := range placements {
+		for _, alg := range []string{"logspace", "logspaceOverK", "logspaceUnderK", "relaxed", "relaxedAblation"} {
+			for _, sched := range []string{"roundrobin", "random", "synchronous", "adversarial"} {
+				t.Run(name+"/"+alg+"/"+sched, func(t *testing.T) {
+					runBoth(t, ring.MustNew(crosscheckN), homes, alg, sched, nil)
+				})
+			}
 		}
 	}
 }
@@ -163,7 +199,7 @@ func TestFrameCoroutineCrossCheckBiRing(t *testing.T) {
 	}
 	for _, sched := range []string{"roundrobin", "random", "synchronous", "adversarial"} {
 		t.Run("binative/"+sched, func(t *testing.T) {
-			runBoth(t, bi, "binative", sched, nil)
+			runBoth(t, bi, crosscheckHomes, "binative", sched, nil)
 		})
 	}
 }
@@ -187,7 +223,7 @@ func TestFrameCoroutineCrossCheckFaults(t *testing.T) {
 	for name, faults := range schedules {
 		for _, alg := range []string{"native", "relaxed"} {
 			t.Run(name+"/"+alg, func(t *testing.T) {
-				runBoth(t, ring.MustNew(crosscheckN), alg, "roundrobin", faults)
+				runBoth(t, ring.MustNew(crosscheckN), crosscheckHomes, alg, "roundrobin", faults)
 			})
 		}
 	}
@@ -244,6 +280,8 @@ func TestCheckpointRestoreCrossCheck(t *testing.T) {
 	}{
 		{"native", func() sim.Topology { return ring.MustNew(crosscheckN) }},
 		{"nativeKnowN", func() sim.Topology { return ring.MustNew(crosscheckN) }},
+		{"logspace", func() sim.Topology { return ring.MustNew(crosscheckN) }},
+		{"relaxed", func() sim.Topology { return ring.MustNew(crosscheckN) }},
 		{"naive", func() sim.Topology { return ring.MustNew(crosscheckN) }},
 		{"firstfit", func() sim.Topology { return ring.MustNew(crosscheckN) }},
 		{"binative", func() sim.Topology {

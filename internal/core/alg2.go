@@ -49,9 +49,8 @@ type SelectionStats struct {
 type alg2 struct {
 	k int
 	// onDecide, when set, is invoked once as the agent leaves the
-	// selection phase. It runs on the agent's goroutine during its
-	// atomic action (the engine serializes activations, so plain shared
-	// state is safe for collectors).
+	// selection phase, during that atomic action (the engine serializes
+	// activations, so plain shared state is safe for collectors).
 	onDecide func(SelectionStats)
 }
 
@@ -77,14 +76,15 @@ func (p *alg2) decided(subPhases int, leader bool) {
 	}
 }
 
+// alg2Words is Algorithms 2+3's metered working set. The whole
+// algorithm keeps O(1) words: two IDs (4 words), the scratch ID (2), n,
+// k, and a handful of counters. No slice of distances is ever stored —
+// that is the entire point of Section 3.2.
+const alg2Words = 14
+
 // Run implements sim.Program.
 func (p *alg2) Run(api sim.API) error {
-	m := api.Meter()
-	// The whole algorithm keeps O(1) words: two IDs (4 words), the
-	// scratch ID (2), n, k, and a handful of counters. No slice of
-	// distances is ever stored — that is the entire point of Section 3.2.
-	const words = 14
-	m.Set(words)
+	api.Meter().Set(alg2Words)
 
 	api.ReleaseToken()
 
@@ -174,7 +174,7 @@ func (p *alg2) nextActive(api sim.API, tokensSeen, circuit *int) (activeID, bool
 // walk to the next base node, handing each follower on the way the
 // count of tokens separating it from that base node, then halt there.
 func (p *alg2) leader(api sim.API, n, fNum int) error {
-	b := p.baseCount(api, n, fNum)
+	b := p.baseCount(fNum)
 	for t := 0; t < fNum; t++ {
 		p.moveToNextToken(api)
 		api.Broadcast(deployMsg{TBase: fNum - t, N: n, K: p.k, B: b})
@@ -186,8 +186,7 @@ func (p *alg2) leader(api sim.API, n, fNum int) error {
 // baseCount derives the number of base nodes. Between two adjacent base
 // nodes there are fNum follower homes, so each of the b segments holds
 // fNum+1 of the k homes.
-func (p *alg2) baseCount(api sim.API, n, fNum int) int {
-	_ = api
+func (p *alg2) baseCount(fNum int) int {
 	return p.k / (fNum + 1)
 }
 
@@ -233,14 +232,14 @@ func (p *alg2) follower(api sim.API) error {
 	// Walk the target schedule: slot 0 is the base node itself (taken by
 	// its leader); check slots 1..k/b-1, wrapping across segments.
 	//
-	// Asynchrony caveat (a reproduction finding, see EXPERIMENTS.md):
-	// the paper's Theorem 4 bounds each follower at 2n moves, but a
-	// target slot can coincide with the home of a follower that has been
-	// informed yet not scheduled; a passing follower then skips the slot
-	// and may need extra laps until the squatter departs. Uniform
-	// deployment is still always reached; only the per-follower constant
-	// grows. We therefore cap the walk at (k+4)*n and flag anything
-	// beyond as a genuine invariant violation.
+	// Asynchrony caveat (a reproduction finding): the paper's Theorem 4
+	// bounds each follower at 2n moves, but a target slot can coincide
+	// with the home of a follower that has been informed yet not
+	// scheduled; a passing follower then skips the slot and may need
+	// extra laps until the squatter departs. Uniform deployment is still
+	// always reached; only the per-follower constant grows. We therefore
+	// cap the walk at (k+4)*n and flag anything beyond as a genuine
+	// invariant violation.
 	perSeg := msg.K / msg.B
 	slot := 0
 	for walked := 0; walked <= (msg.K+4)*msg.N; {
@@ -262,4 +261,225 @@ func (p *alg2) follower(api sim.API) error {
 		}
 	}
 	return fmt.Errorf("%w: follower found no vacant target within (k+4)n moves", ErrInvariant)
+}
+
+// Frame implements sim.Framer: Algorithms 2+3 as a resumable state
+// machine making the same API-call sequence as Run, one atomic action
+// per Step.
+func (p *alg2) Frame() sim.Frame { return &alg2Frame{p: p} }
+
+// alg2Frame phases.
+const (
+	alg2Init   = iota
+	alg2Select // selection: walking to the next active node
+	alg2Lead   // leader: token to token, informing each follower
+	alg2Await  // follower: suspended until a deployMsg arrives
+	alg2ToBase // follower: passing msg.TBase tokens
+	alg2Slots  // follower: walking the target schedule
+)
+
+// alg2Frame is the data-oriented execution of Algorithms 2+3. Like Run
+// it holds O(1) scalars; the fields of one phase are idle in the others.
+type alg2Frame struct {
+	p     *alg2
+	phase int
+	// Selection: the sub-phase, which active node of the circuit is
+	// being measured (0 the own segment, 1 the next, 2 the rest), the ID
+	// under construction, and the sub-phase's verdict so far.
+	subPhase, stage     int
+	tokensSeen, circuit int
+	n                   int
+	cur, own            activeID
+	identical, min, tie bool // tie: own.equal(next)
+	// Leader: followers informed so far out of fNum, and the base count.
+	t, fNum, b int
+	// Follower: the leader's message, tokens passed on the way to the
+	// base node, and the slot walk (left: moves remaining to the slot).
+	msg                      deployMsg
+	seen, slot, walked, left int
+}
+
+func (f *alg2Frame) Step(api sim.API) sim.Action {
+	switch f.phase {
+	case alg2Init:
+		api.Meter().Set(alg2Words)
+		api.ReleaseToken()
+		f.phase, f.subPhase = alg2Select, 1
+		return moveAction
+	case alg2Select:
+		f.cur.d++
+		f.circuit++
+		if api.TokensHere() == 0 {
+			return moveAction
+		}
+		f.tokensSeen++
+		if api.AgentsHere() > 0 {
+			f.cur.fNum++
+			return moveAction
+		}
+		id := f.cur
+		f.cur = activeID{}
+		return f.active(id, f.tokensSeen == f.p.k)
+	case alg2Lead:
+		if api.TokensHere() == 0 {
+			return moveAction
+		}
+		if f.t == f.fNum {
+			return doneAction
+		}
+		api.Broadcast(deployMsg{TBase: f.fNum - f.t, N: f.n, K: f.p.k, B: f.b})
+		f.t++
+		return moveAction
+	case alg2Await:
+		for _, raw := range api.Messages() {
+			if dm, ok := raw.(deployMsg); ok {
+				return f.follow(dm)
+			}
+		}
+		return awaitAction
+	case alg2ToBase:
+		if api.TokensHere() > 0 {
+			f.seen++
+		}
+		return f.toBase()
+	default: // alg2Slots
+		if f.left > 0 {
+			f.left--
+			return moveAction
+		}
+		if f.slot != 0 && api.AgentsHere() == 0 {
+			return doneAction // occupy this target
+		}
+		return f.nextSlot()
+	}
+}
+
+// active handles the arrival at an active node: the point where Run's
+// nextActive returns to the sub-phase loop.
+func (f *alg2Frame) active(id activeID, wrapped bool) sim.Action {
+	switch f.stage {
+	case 0:
+		if wrapped {
+			if f.n == 0 {
+				f.n = f.circuit
+			}
+			f.p.decided(f.subPhase, true)
+			return f.lead(id.fNum)
+		}
+		f.own, f.stage = id, 1
+		return moveAction
+	case 1:
+		f.identical = f.own.equal(id)
+		f.tie = f.identical
+		f.min = !id.less(f.own)
+		f.stage = 2
+	default:
+		if !f.own.equal(id) {
+			f.identical = false
+		}
+		if id.less(f.own) {
+			f.min = false
+		}
+	}
+	if !wrapped && f.tokensSeen < f.p.k {
+		return moveAction
+	}
+	return f.endSubPhase()
+}
+
+// endSubPhase is Run's decision after a sub-phase circuit, made in the
+// activation that closed it.
+func (f *alg2Frame) endSubPhase() sim.Action {
+	k := f.p.k
+	if f.tokensSeen != k {
+		return failAction(fmt.Errorf("%w: circuit ended after %d tokens, want %d", ErrInvariant, f.tokensSeen, k))
+	}
+	if f.n == 0 {
+		f.n = f.circuit
+	} else if f.n != f.circuit {
+		return failAction(fmt.Errorf("%w: circuit length changed %d -> %d", ErrInvariant, f.n, f.circuit))
+	}
+	if f.identical {
+		if f.own.d <= 0 || f.n%f.own.d != 0 {
+			return failAction(fmt.Errorf("%w: base distance %d does not divide n=%d", ErrInvariant, f.own.d, f.n))
+		}
+		f.p.decided(f.subPhase, true)
+		return f.lead(f.own.fNum)
+	}
+	if !f.min || f.tie {
+		f.p.decided(f.subPhase, false)
+		// The deciding activation is an arrival, whose inbox is always
+		// empty: AwaitMessages suspends here without reading.
+		f.phase = alg2Await
+		return awaitAction
+	}
+	f.subPhase++
+	f.stage, f.tokensSeen, f.circuit = 0, 0, 0
+	return moveAction
+}
+
+func (f *alg2Frame) lead(fNum int) sim.Action {
+	f.phase, f.t, f.fNum, f.b = alg2Lead, 0, fNum, f.p.baseCount(fNum)
+	return moveAction
+}
+
+func (f *alg2Frame) follow(dm deployMsg) sim.Action {
+	if dm.K != f.p.k {
+		return failAction(fmt.Errorf("%w: deploy message carries k=%d, agent knows %d", ErrInvariant, dm.K, f.p.k))
+	}
+	f.phase, f.msg, f.seen = alg2ToBase, dm, 0
+	return f.toBase()
+}
+
+func (f *alg2Frame) toBase() sim.Action {
+	if f.seen < f.msg.TBase {
+		return moveAction
+	}
+	f.phase, f.slot, f.walked = alg2Slots, 0, 0
+	return f.nextSlot()
+}
+
+// nextSlot is the head of Run's slot-walk loop. A slot interval is at
+// least floor(n/k) >= 1, so every iteration ends the action with a move.
+func (f *alg2Frame) nextSlot() sim.Action {
+	m := f.msg
+	if f.walked > (m.K+4)*m.N {
+		return failAction(fmt.Errorf("%w: follower found no vacant target within (k+4)n moves", ErrInvariant))
+	}
+	step, err := SlotInterval(m.N, m.K, m.B, f.slot)
+	if err != nil {
+		return failAction(fmt.Errorf("slot schedule: %w", err))
+	}
+	f.walked += step
+	f.slot = (f.slot + 1) % (m.K / m.B)
+	f.left = step - 1
+	return moveAction
+}
+
+// SaveState/LoadState implement sim.FrameSaver: the frame's scalars
+// (the verdict bits as 0/1). The alg2 program value is immutable
+// configuration and is not serialized.
+func (f *alg2Frame) SaveState(buf []int) []int {
+	return append(buf, f.phase, f.subPhase, f.stage, f.tokensSeen, f.circuit, f.n,
+		f.cur.d, f.cur.fNum, f.own.d, f.own.fNum, b2i(f.identical), b2i(f.min), b2i(f.tie),
+		f.t, f.fNum, f.b, f.msg.TBase, f.msg.N, f.msg.K, f.msg.B,
+		f.seen, f.slot, f.walked, f.left)
+}
+
+func (f *alg2Frame) LoadState(buf []int) int {
+	f.phase, f.subPhase, f.stage, f.tokensSeen, f.circuit, f.n = buf[0], buf[1], buf[2], buf[3], buf[4], buf[5]
+	f.cur = activeID{d: buf[6], fNum: buf[7]}
+	f.own = activeID{d: buf[8], fNum: buf[9]}
+	f.identical, f.min, f.tie = buf[10] != 0, buf[11] != 0, buf[12] != 0
+	f.t, f.fNum, f.b = buf[13], buf[14], buf[15]
+	f.msg = deployMsg{TBase: buf[16], N: buf[17], K: buf[18], B: buf[19]}
+	f.seen, f.slot, f.walked, f.left = buf[20], buf[21], buf[22], buf[23]
+	return 24
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"agentring/internal/sim"
 )
 
 // Exported errors.
@@ -14,6 +16,16 @@ var (
 	// ErrBadParam rejects invalid constructor arguments.
 	ErrBadParam = errors.New("core: invalid parameter")
 )
+
+// The frames' shared action values. failAction ends the agent with a
+// program error, as a Run returning err does.
+var (
+	moveAction  = sim.Action{Kind: sim.ActionMove}
+	awaitAction = sim.Action{Kind: sim.ActionAwait}
+	doneAction  = sim.Action{Kind: sim.ActionDone}
+)
+
+func failAction(err error) sim.Action { return sim.Action{Kind: sim.ActionDone, Err: err} }
 
 // TargetOffset returns the forward distance from a base node to the
 // rank-th target node on an n-node ring with k agents and b base nodes.

@@ -51,20 +51,23 @@ func cexString(c *Counterexample) string {
 // modes are fully deterministic and visit items in the same DFS order,
 // so every semantic report field must match exactly; only Replays and
 // StepsReplayed may differ (they measure the cost model, which is the
-// whole point of the change). Alg2 runs as a coroutine, so its "auto"
-// search exercises the probe's fallback: checkpoint mode silently
-// declines and the two runs are the same search twice.
+// whole point of the change). Every algorithm in the grid runs as a
+// checkpointable frame, so each cell compares two different paths.
 func TestCheckpointReplayCrossCheck(t *testing.T) {
 	algs := map[string]Factory{
-		"alg1":  alg1Factory(2),
-		"naive": naiveFactory(2),
-		"alg2":  alg2Factory(2),
+		"alg1":    alg1Factory(2),
+		"naive":   naiveFactory(2),
+		"alg2":    alg2Factory(2),
+		"relaxed": relaxedFactory(2),
 	}
 	sawCex := false
 	for algName, factory := range algs {
 		for tlName, faults := range crosscheckTimelines() {
 			t.Run(algName+"/"+tlName, func(t *testing.T) {
 				setup := Setup{N: 4, Homes: []ring.NodeID{0, 1}, Programs: factory, Faults: faults}
+				if err := requireCheckpointable(setup); err != nil {
+					t.Fatal(err)
+				}
 				cp, err := Explore(context.Background(), setup, Options{})
 				if err != nil {
 					t.Fatal(err)
@@ -96,7 +99,8 @@ func TestCheckpointReplayCrossCheck(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if par.States != rp.States || par.DistinctTerminals != rp.DistinctTerminals || par.Complete != rp.Complete {
+				if par.States != rp.States || par.DistinctTerminals != rp.DistinctTerminals ||
+					par.Truncated != rp.Truncated || par.Complete != rp.Complete {
 					t.Errorf("parallel checkpoint search lost coverage: %+v vs sequential %+v", par, rp)
 				}
 				if got, want := cexString(par.Counterexample), cexString(rp.Counterexample); got != want {

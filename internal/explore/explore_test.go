@@ -56,6 +56,16 @@ func alg2Factory(k int) Factory {
 	}
 }
 
+func relaxedFactory(k int) Factory {
+	return func() ([]sim.Program, error) {
+		ps := make([]sim.Program, k)
+		for i := range ps {
+			ps[i] = core.NewRelaxed()
+		}
+		return ps, nil
+	}
+}
+
 func naiveFactory(k int) Factory {
 	return func() ([]sim.Program, error) {
 		ps := make([]sim.Program, k)

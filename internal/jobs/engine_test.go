@@ -10,6 +10,14 @@ import (
 	"time"
 )
 
+// blockerSpec is a LogSpace grid of 18 cells (~0.1-0.2 s on a 2-CPU
+// host) that holds a single runner while a test queues jobs behind it.
+// Sweeps stop between cells, so tests cancel it instead of waiting it
+// out.
+func blockerSpec(seed int64) Spec {
+	return Spec{Kind: KindSweep, Algorithm: "logspace", Ns: []int{256, 512, 768, 1024, 1536, 2048}, Ks: []int{8, 16, 32}, Seed: seed}
+}
+
 // sweepSpec is a small but non-trivial grid used throughout the tests.
 func sweepSpec() Spec {
 	return Spec{
@@ -119,7 +127,7 @@ func TestPriorityOrdersQueue(t *testing.T) {
 	// high priority job: the high one must run (and finish) first.
 	e := New(Options{Runners: 1, Workers: 1})
 	defer e.Close()
-	blocker, err := e.Submit("c1", Spec{Kind: KindSweep, Algorithm: "logspace", Ns: []int{128}, Ks: []int{8, 16}, Seed: 3})
+	blocker, err := e.Submit("c1", blockerSpec(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +137,9 @@ func TestPriorityOrdersQueue(t *testing.T) {
 	}
 	high, err := e.Submit("c1", Spec{Kind: KindRun, Algorithm: "native", N: 12, K: 2, Priority: 5})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Cancel(blocker.ID); err != nil {
 		t.Fatal(err)
 	}
 	waitFinal(t, e, blocker.ID)
@@ -146,7 +157,7 @@ func TestAdmissionQueueDepthAndQuota(t *testing.T) {
 	// Runners=1 and a long blocker keep everything else queued.
 	e := New(Options{Runners: 1, Workers: 1, MaxQueue: 3, ClientQuota: 2})
 	defer e.Close()
-	blocker, err := e.Submit("greedy", Spec{Kind: KindSweep, Algorithm: "logspace", Ns: []int{256}, Ks: []int{16}, Seed: 1})
+	blocker, err := e.Submit("greedy", blockerSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +193,7 @@ func TestAdmissionQueueDepthAndQuota(t *testing.T) {
 func TestCancelQueuedJob(t *testing.T) {
 	e := New(Options{Runners: 1, Workers: 1})
 	defer e.Close()
-	blocker, err := e.Submit("c1", Spec{Kind: KindSweep, Algorithm: "logspace", Ns: []int{256}, Ks: []int{16}, Seed: 2})
+	blocker, err := e.Submit("c1", blockerSpec(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +211,9 @@ func TestCancelQueuedJob(t *testing.T) {
 	if _, err := e.Result(victim.ID); !errors.Is(err, ErrNotFinished) {
 		t.Errorf("result of cancelled job: err = %v, want ErrNotFinished", err)
 	}
+	if _, err := e.Cancel(blocker.ID); err != nil {
+		t.Fatal(err)
+	}
 	waitFinal(t, e, blocker.ID)
 }
 
@@ -207,8 +221,7 @@ func TestCancelRunningJobStopsBetweenCells(t *testing.T) {
 	e := New(Options{Runners: 1, Workers: 1})
 	defer e.Close()
 	// Many cells so the cancel lands mid-job.
-	big := Spec{Kind: KindSweep, Algorithm: "logspace", Ns: []int{64, 96, 128, 160, 192, 224, 256}, Ks: []int{4, 8, 16}, Seed: 5}
-	snap, err := e.Submit("c1", big)
+	snap, err := e.Submit("c1", blockerSpec(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +329,7 @@ func TestDrainCancelsQueuedFinishesRunning(t *testing.T) {
 	defer e.Close()
 	// A grid big enough that the second submission is still queued when
 	// the drain lands.
-	running, err := e.Submit("c1", Spec{Kind: KindSweep, Algorithm: "logspace", Ns: []int{128, 256}, Ks: []int{8, 16}, Seed: 4})
+	running, err := e.Submit("c1", blockerSpec(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,14 +365,13 @@ func TestDrainDeadlineCancelsRunning(t *testing.T) {
 	e := New(Options{Runners: 1, Workers: 1})
 	defer e.Close()
 	// A grid large enough to outlive the immediate deadline.
-	big := Spec{Kind: KindSweep, Algorithm: "logspace", Ns: []int{64, 128, 192, 256}, Ks: []int{4, 8, 16}, Seed: 9}
-	snap, err := e.Submit("c1", big)
+	snap, err := e.Submit("c1", blockerSpec(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for {
 		s, _ := e.Status(snap.ID)
-		if s.State == StateRunning {
+		if s.State != StateQueued {
 			break
 		}
 		time.Sleep(time.Millisecond)

@@ -220,8 +220,9 @@ func RepetitionPrefix(d []int, r int) bool {
 // narrow window of the patrol and Lemma 5's "the patroller corrects
 // every misestimator" argument breaks; the positional relationship the
 // condition encodes is inherently modular (both agents' positions are
-// congruent to home + moves mod the ring size). See EXPERIMENTS.md,
-// reproduction finding F2.
+// congruent to home + moves mod the ring size). The core package's
+// TestRelaxedNearlyFullRingRegression pins a ring where the literal
+// equality leaves agents misestimating forever.
 func AlignSubsequenceMod(d, sender []int, wantPrefixSum, m int) (int, bool) {
 	if len(d) > len(sender) || m <= 0 {
 		return 0, false

@@ -22,6 +22,11 @@ import (
 // interface, and engines running them report Checkpointable() == false;
 // replay-driven tools then fall back to re-executing prefixes from the
 // initial configuration, which is always sound.
+//
+// Checkpoints copy mailboxes by reference to their messages, so one
+// message value is shared by every engine restored from them: a frame
+// must neither mutate a received message nor keep state aliasing one
+// (copy what it adopts into storage it owns).
 type FrameSaver interface {
 	Frame
 	// SaveState appends the frame's resumable state to buf.

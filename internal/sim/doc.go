@@ -80,8 +80,9 @@
 // allocations. Program state is only capturable for Framer programs
 // whose frames also implement FrameSaver (a save/load of their resumable
 // state as plain ints); Checkpointable reports whether an engine
-// qualifies. Coroutine agents hold their state on a goroutine stack
-// that cannot be copied, so the coroutine fallback stays replay-only —
+// qualifies. Coroutine agents (today only the noToken baseline and the
+// rendezvous programs) hold their state on a goroutine stack that
+// cannot be copied, so the coroutine fallback stays replay-only —
 // and TestFrameCoroutineCheckpointCrossCheck holds a checkpoint-
 // round-tripped frame engine to the coroutine reference at every
 // decision point, which is the "restore ≡ replay" guarantee the

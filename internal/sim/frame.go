@@ -50,9 +50,12 @@ type Action struct {
 //
 // Frames exist for speed: the steady-state loop of a frame agent is a
 // plain method call into per-agent state allocated once at engine
-// construction, instead of an iter.Pull goroutine switch per step.
-// Algorithms whose control flow is inconvenient to invert (deep
-// message-driven loops) simply don't implement Framer and keep the
+// construction, instead of an iter.Pull goroutine switch per step, and
+// a frame that also implements FrameSaver makes its engine
+// checkpointable. Every algorithm in internal/core (Algorithm 1 and its
+// variants, Algorithms 2+3, Algorithms 4-6, the naive estimator) and
+// the FirstFit baseline is a frame. Programs that don't implement
+// Framer — the noToken baseline and the rendezvous programs — keep the
 // coroutine path; the engine mixes both in one run.
 type Frame interface {
 	Step(api API) Action
