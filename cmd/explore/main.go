@@ -73,7 +73,7 @@ import (
 
 func main() {
 	// Interrupts cancel the context, which reaches mid-search: a ^C
-	// aborts a long exploration within about one replay per worker.
+	// aborts a long exploration within about one expansion per worker.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {

@@ -1,27 +1,30 @@
 package agentring_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"agentring/internal/baseline"
 	"agentring/internal/core"
+	"agentring/internal/rendezvous"
 	"agentring/internal/ring"
 	"agentring/internal/sim"
 	"agentring/internal/topo"
 )
 
-// The frame-vs-coroutine cross-check: every algorithm whose program
-// implements sim.Framer executes by default as a resumable frame, while
-// sim.Options.ForceCoroutine runs the same program's coroutine Run. The
-// two paths promise observational equivalence (see sim.Frame); this
-// test holds them to it on the golden configuration across all
-// schedulers, comparing the full rendered trace, the canonical
-// configuration hash (with per-agent state tracking on), and final
-// positions. Together with TestGoldenDeterminism — which pins the
-// default path against recorded traces — this keeps both execution
-// forms byte-identical to the pre-frame engine.
+// The frame-vs-coroutine cross-check: the engine executes every
+// program as its resumable frame, while sim.ProgramFunc(p.Run) runs the
+// same program's blocking Run — the paper-pseudocode reference — on a
+// coroutine behind the adapter frame. The two forms promise
+// observational equivalence (see sim.Frame); this test holds them to it
+// on the golden configuration across all schedulers, comparing the full
+// rendered trace, the canonical configuration hash (with per-agent
+// state tracking on), and final positions. Together with
+// TestGoldenDeterminism — which pins the frames against recorded
+// traces — this keeps both forms byte-identical to the pre-frame
+// engine.
 
 // crosscheckConfig is the golden configuration of TestGoldenDeterminism.
 const crosscheckN = 36
@@ -29,8 +32,9 @@ const crosscheckN = 36
 var crosscheckHomes = []ring.NodeID{0, 3, 4, 11, 17, 25}
 
 // crosscheckPrograms builds one fresh program per agent, mirroring the
-// facade's per-algorithm construction.
-func crosscheckPrograms(t *testing.T, alg string, n, k int) []sim.Program {
+// facade's per-algorithm construction; with coroutine set, each runs
+// its Run through sim.ProgramFunc instead of its frame.
+func crosscheckPrograms(t *testing.T, alg string, n, k int, coroutine bool) []sim.Program {
 	t.Helper()
 	mk := func() (sim.Program, error) {
 		switch alg {
@@ -58,6 +62,10 @@ func crosscheckPrograms(t *testing.T, alg string, n, k int) []sim.Program {
 			return baseline.NewFirstFit(n, k)
 		case "binative":
 			return core.NewBiNative(k)
+		case "noToken":
+			return baseline.NewNoToken(n, k)
+		case "rendezvous":
+			return rendezvous.New(k)
 		default:
 			return nil, fmt.Errorf("unknown algorithm %q", alg)
 		}
@@ -69,6 +77,9 @@ func crosscheckPrograms(t *testing.T, alg string, n, k int) []sim.Program {
 			t.Fatal(err)
 		}
 		programs[i] = p
+		if coroutine {
+			programs[i] = sim.ProgramFunc(p.Run)
+		}
 	}
 	return programs
 }
@@ -91,9 +102,9 @@ func crosscheckScheduler(t *testing.T, kind string) sim.Scheduler {
 }
 
 // runBoth executes the same (topology, programs, scheduler, faults)
-// setup twice — frames on, frames forced off — and asserts identical
-// observable behaviour.
-func runBoth(t *testing.T, top sim.Topology, homes []ring.NodeID, alg, sched string, faults sim.FaultSchedule) {
+// setup twice — as frames and through sim.ProgramFunc(p.Run) — and
+// asserts identical observable behaviour. It returns the run's error.
+func runBoth(t *testing.T, top sim.Topology, homes []ring.NodeID, alg, sched string, faults sim.FaultSchedule) error {
 	t.Helper()
 	n := top.Size()
 	k := len(homes)
@@ -102,27 +113,32 @@ func runBoth(t *testing.T, top sim.Topology, homes []ring.NodeID, alg, sched str
 		key       uint64
 		hashes    []uint64
 		positions []ring.NodeID
+		peaks     []int
 		steps     int
 		err       error
 	}
-	if _, ok := crosscheckPrograms(t, alg, n, k)[0].(sim.Framer); !ok {
-		t.Fatalf("%s has no frame: the cross-check would compare the coroutine with itself", alg)
+	if _, ok := crosscheckPrograms(t, alg, n, k, false)[0].Frame().(sim.FrameSaver); !ok {
+		t.Fatalf("%s has no checkpointable frame: the cross-check may compare the coroutine with itself", alg)
 	}
-	exec := func(force bool) outcome {
+	exec := func(coroutine bool) outcome {
 		trace := sim.NewTrace(1 << 20)
-		e, err := sim.NewEngine(top, homes, crosscheckPrograms(t, alg, n, k), sim.Options{
-			Scheduler:      crosscheckScheduler(t, sched),
-			Trace:          trace,
-			TrackState:     true,
-			Faults:         faults,
-			ForceCoroutine: force,
+		e, err := sim.NewEngine(top, homes, crosscheckPrograms(t, alg, n, k, coroutine), sim.Options{
+			Scheduler:  crosscheckScheduler(t, sched),
+			Trace:      trace,
+			TrackState: true,
+			Faults:     faults,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Run()
 		snap := e.Snapshot()
+		peaks := make([]int, len(res.Agents))
+		for i, a := range res.Agents {
+			peaks[i] = a.PeakWords
+		}
 		return outcome{
+			peaks:     peaks,
 			trace:     trace.String(),
 			key:       snap.Key(),
 			hashes:    snap.AgentHashes,
@@ -153,10 +169,14 @@ func runBoth(t *testing.T, top sim.Topology, homes []ring.NodeID, alg, sched str
 	if frame.steps != coro.steps {
 		t.Errorf("steps diverge: frame %d, coroutine %d", frame.steps, coro.steps)
 	}
+	if !reflect.DeepEqual(frame.peaks, coro.peaks) {
+		t.Errorf("memory peaks diverge: frame %v, coroutine %v", frame.peaks, coro.peaks)
+	}
+	return frame.err
 }
 
 func TestFrameCoroutineCrossCheck(t *testing.T) {
-	algs := []string{"native", "nativeKnowN", "logspace", "relaxed", "naive", "firstfit"}
+	algs := []string{"native", "nativeKnowN", "logspace", "relaxed", "naive", "firstfit", "noToken", "rendezvous"}
 	scheds := []string{"roundrobin", "random", "synchronous", "adversarial"}
 	for _, alg := range algs {
 		for _, sched := range scheds {
@@ -172,7 +192,9 @@ func TestFrameCoroutineCrossCheck(t *testing.T) {
 // (Algorithm 2 decides "identical" in its first sub-phase), a lone agent
 // (it wraps the ring alone), and a placement whose dense cluster makes
 // relaxed agents misestimate n'=1, suspend, and adopt a correction. The
-// wrong-k LogSpace variants reach its invariant exits.
+// wrong-k LogSpace variants reach its invariant exits, and the
+// symmetric placement is periodic, so rendezvous exits with
+// ErrSymmetric through its frame.
 func TestFrameCoroutineCrossCheckHomes(t *testing.T) {
 	placements := map[string][]ring.NodeID{
 		"symmetric":   {0, 6, 12, 18, 24, 30},
@@ -180,10 +202,13 @@ func TestFrameCoroutineCrossCheckHomes(t *testing.T) {
 		"misestimate": {0, 1, 2, 3, 4, 20},
 	}
 	for name, homes := range placements {
-		for _, alg := range []string{"logspace", "logspaceOverK", "logspaceUnderK", "relaxed", "relaxedAblation"} {
+		for _, alg := range []string{"logspace", "logspaceOverK", "logspaceUnderK", "relaxed", "relaxedAblation", "rendezvous"} {
 			for _, sched := range []string{"roundrobin", "random", "synchronous", "adversarial"} {
 				t.Run(name+"/"+alg+"/"+sched, func(t *testing.T) {
-					runBoth(t, ring.MustNew(crosscheckN), homes, alg, sched, nil)
+					err := runBoth(t, ring.MustNew(crosscheckN), homes, alg, sched, nil)
+					if alg == "rendezvous" && errors.Is(err, rendezvous.ErrSymmetric) != (name == "symmetric") {
+						t.Errorf("rendezvous on the %s placement: err = %v", name, err)
+					}
 				})
 			}
 		}
@@ -265,7 +290,7 @@ func driveStepwise(t *testing.T, e *sim.Engine, fresh func() *sim.Engine, roundT
 
 // TestCheckpointRestoreCrossCheck holds the checkpoint layer to the
 // frame/coroutine equivalence on the production algorithms: for every
-// frame-capable algorithm on the golden configuration (plus binative on
+// program on the golden configuration (plus binative on
 // the bidirectional ring), a step-driven run that round-trips through
 // Checkpoint/Restore at every decision — periodically abandoning the
 // engine for a fresh one resumed from the checkpoint — must finish in
@@ -284,6 +309,8 @@ func TestCheckpointRestoreCrossCheck(t *testing.T) {
 		{"relaxed", func() sim.Topology { return ring.MustNew(crosscheckN) }},
 		{"naive", func() sim.Topology { return ring.MustNew(crosscheckN) }},
 		{"firstfit", func() sim.Topology { return ring.MustNew(crosscheckN) }},
+		{"noToken", func() sim.Topology { return ring.MustNew(crosscheckN) }},
+		{"rendezvous", func() sim.Topology { return ring.MustNew(crosscheckN) }},
 		{"binative", func() sim.Topology {
 			bi, err := topo.NewBiRing(crosscheckN)
 			if err != nil {
@@ -300,11 +327,10 @@ func TestCheckpointRestoreCrossCheck(t *testing.T) {
 		t.Run(tc.alg, func(t *testing.T) {
 			top := tc.top()
 			n, k := top.Size(), len(crosscheckHomes)
-			mk := func(force bool) *sim.Engine {
-				e, err := sim.NewEngine(top, crosscheckHomes, crosscheckPrograms(t, tc.alg, n, k), sim.Options{
-					TrackState:     true,
-					Faults:         faults,
-					ForceCoroutine: force,
+			mk := func(coroutine bool) *sim.Engine {
+				e, err := sim.NewEngine(top, crosscheckHomes, crosscheckPrograms(t, tc.alg, n, k, coroutine), sim.Options{
+					TrackState: true,
+					Faults:     faults,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -22,8 +22,9 @@ type Budget struct {
 	// MaxStates bounds the number of distinct global states expanded;
 	// zero selects a generous default.
 	MaxStates int
-	// MaxSteps is the per-replay engine step bound (0 = automatic); a
-	// schedule that exceeds it is reported as a counterexample.
+	// MaxSteps is the engine step bound of one schedule (0 =
+	// automatic); a schedule that exceeds it is reported as a
+	// counterexample.
 	MaxSteps int
 	// MaxTotalMoves, if positive, turns any reached state whose total
 	// move count exceeds it into a counterexample — a mechanical check
@@ -58,7 +59,7 @@ type ExploreProgress struct {
 	// Frontier is the number of schedule prefixes queued or being
 	// expanded across the worker pool.
 	Frontier int64 `json:"frontier"`
-	// CacheHits counts replays that converged onto an already-explored
+	// CacheHits counts expansions that converged onto an already-explored
 	// state.
 	CacheHits int64 `json:"cache_hits"`
 	// Replays and StepsReplayed measure the search's real cost so far.
@@ -71,17 +72,6 @@ type ExploreProgress struct {
 
 // ExploreOptions tunes a schedule-space exploration: a Budget plus
 // search knobs.
-//
-// The pre-v2 flat bound fields remain as deprecated aliases so existing
-// callers keep compiling; each one is honored only when the
-// corresponding Budget field is zero. Migration is mechanical:
-//
-//	MaxDepth      -> Budget.MaxDepth
-//	MaxStates     -> Budget.MaxStates
-//	MaxSteps      -> Budget.MaxSteps
-//	MaxTotalMoves -> Budget.MaxTotalMoves
-//
-// (Workers was and remains a top-level knob.) See docs/API_V2.md.
 type ExploreOptions struct {
 	// Budget bounds the search.
 	Budget Budget
@@ -107,37 +97,6 @@ type ExploreOptions struct {
 	// dedicated goroutine concurrently with the search; must be cheap
 	// and concurrency-safe. No calls happen after Explore returns.
 	Progress func(ExploreProgress)
-
-	// Deprecated: use Budget.MaxDepth. Honored when Budget.MaxDepth is
-	// zero.
-	MaxDepth int
-	// Deprecated: use Budget.MaxStates. Honored when Budget.MaxStates
-	// is zero.
-	MaxStates int
-	// Deprecated: use Budget.MaxSteps. Honored when Budget.MaxSteps is
-	// zero.
-	MaxSteps int
-	// Deprecated: use Budget.MaxTotalMoves. Honored when
-	// Budget.MaxTotalMoves is zero.
-	MaxTotalMoves int
-}
-
-// effectiveBudget folds the deprecated flat fields into the Budget.
-func (o ExploreOptions) effectiveBudget() Budget {
-	b := o.Budget
-	if b.MaxDepth == 0 {
-		b.MaxDepth = o.MaxDepth
-	}
-	if b.MaxStates == 0 {
-		b.MaxStates = o.MaxStates
-	}
-	if b.MaxSteps == 0 {
-		b.MaxSteps = o.MaxSteps
-	}
-	if b.MaxTotalMoves == 0 {
-		b.MaxTotalMoves = o.MaxTotalMoves
-	}
-	return b
 }
 
 // ExploreCounterexample is a concrete schedule defeating uniform
@@ -172,13 +131,14 @@ type ExploreReport struct {
 	Adversary string `json:"adversary,omitempty"`
 
 	// States counts distinct global states expanded; Pruned counts
-	// replays that converged onto an already-explored state; SleepSkips
+	// expansions that converged onto an already-explored state; SleepSkips
 	// counts interleavings suppressed by the partial-order reduction.
 	States     int `json:"states"`
 	Pruned     int `json:"pruned"`
 	SleepSkips int `json:"sleep_skips"`
-	// Replays counts engine replays and StepsReplayed their total
-	// atomic actions — the search's real cost.
+	// Replays counts expansions (plus one from-root re-execution per
+	// confirmed counterexample) and StepsReplayed the atomic actions
+	// they applied — the search's real cost.
 	Replays       int   `json:"replays"`
 	StepsReplayed int64 `json:"steps_replayed"`
 	// Terminals counts quiescent leaves reached; DistinctTerminals the
@@ -225,7 +185,7 @@ type ExploreReport struct {
 // counterexample. Step-indexed mutations localize, rather than disable,
 // the reduction: sleep sets stratify around the depths where a fault
 // fires, and state convergence is only recognized between equal-length
-// schedules — fault searches cover the same space with more replays.
+// schedules — fault searches cover the same space with more expansions.
 //
 // ExploreOptions.Adversary goes further: the fault set becomes a choice
 // of the schedule itself, and the search branches over every failure
@@ -272,7 +232,7 @@ func Explore(ctx context.Context, alg Algorithm, cfg Config, opts ExploreOptions
 		}
 		adv = &nb
 	}
-	budget := opts.effectiveBudget()
+	budget := opts.Budget
 	var progress func(explore.Progress)
 	if opts.Progress != nil {
 		emit := opts.Progress
@@ -390,13 +350,4 @@ func worstOutageProbe(adv AdversaryBudget, breaks bool, search func(*sim.Adversa
 		}
 	}
 	return wo
-}
-
-// ExploreLegacy is the pre-v2 entry point: no context, flat bound
-// fields only.
-//
-// Deprecated: use Explore with a context.Context; flat bound fields in
-// opts keep working there too. See docs/API_V2.md.
-func ExploreLegacy(alg Algorithm, cfg Config, opts ExploreOptions) (ExploreReport, error) {
-	return Explore(context.Background(), alg, cfg, opts)
 }

@@ -93,56 +93,6 @@ func TestExploreConfigErrors(t *testing.T) {
 	}
 }
 
-// TestExploreBudgetAndDeprecatedFieldsAgree: the deprecated flat bound
-// fields are honored exactly when the corresponding Budget field is
-// zero, so pre-redesign callers keep their behaviour and migrated
-// callers win any mixed-use tie.
-func TestExploreBudgetAndDeprecatedFieldsAgree(t *testing.T) {
-	cfg := agentring.Config{N: 6, Homes: []int{0, 1, 3}}
-	viaBudget, err := agentring.Explore(context.Background(), agentring.Native, cfg,
-		agentring.ExploreOptions{Budget: agentring.Budget{MaxDepth: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaFlat, err := agentring.Explore(context.Background(), agentring.Native, cfg,
-		agentring.ExploreOptions{MaxDepth: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaBudget.States != viaFlat.States || viaBudget.Truncated != viaFlat.Truncated {
-		t.Fatalf("deprecated MaxDepth diverges from Budget.MaxDepth: %+v vs %+v", viaFlat, viaBudget)
-	}
-	if viaBudget.Complete {
-		t.Fatal("depth 3 cannot cover the space; Complete must be false")
-	}
-	// Budget wins when both are set.
-	mixed, err := agentring.Explore(context.Background(), agentring.Native, cfg,
-		agentring.ExploreOptions{Budget: agentring.Budget{MaxDepth: 3}, MaxDepth: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mixed.States != viaBudget.States {
-		t.Fatalf("flat field overrode a set Budget field: %+v vs %+v", mixed, viaBudget)
-	}
-}
-
-// TestExploreLegacyShim: the deprecated context-free entry point still
-// works and matches the ctx-first call.
-func TestExploreLegacyShim(t *testing.T) {
-	cfg := agentring.Config{N: 5, Homes: []int{0, 2}}
-	legacy, err := agentring.ExploreLegacy(agentring.Native, cfg, agentring.ExploreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := agentring.Explore(context.Background(), agentring.Native, cfg, agentring.ExploreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.States != modern.States || legacy.Complete != modern.Complete {
-		t.Fatalf("legacy shim diverges: %+v vs %+v", legacy, modern)
-	}
-}
-
 // TestExploreMaxDurationTruncates: the wall-clock budget reaches the
 // facade: an expiring MaxDuration yields an honest partial report, not
 // an error.
@@ -199,23 +149,5 @@ func TestExploreProgressCallback(t *testing.T) {
 	final := snaps[len(snaps)-1]
 	if final.States != int64(rep.States) {
 		t.Errorf("final snapshot states=%d, report states=%d", final.States, rep.States)
-	}
-}
-
-// TestRunBatchLegacyShim covers the deprecated batch entry points.
-func TestRunBatchLegacyShim(t *testing.T) {
-	cfgs := []agentring.Config{{N: 12, Homes: []int{0, 1}}, {N: 16, Homes: []int{0, 4, 8, 12}}}
-	legacy := agentring.SweepLegacy(agentring.Native, cfgs, agentring.BatchOptions{})
-	modern := agentring.Sweep(context.Background(), agentring.Native, cfgs, agentring.BatchOptions{})
-	if len(legacy) != len(modern) {
-		t.Fatalf("%d legacy results vs %d", len(legacy), len(modern))
-	}
-	for i := range legacy {
-		if legacy[i].Err != nil || modern[i].Err != nil {
-			t.Fatalf("result %d errored: %v / %v", i, legacy[i].Err, modern[i].Err)
-		}
-		if legacy[i].Report.TotalMoves != modern[i].Report.TotalMoves {
-			t.Errorf("result %d diverges: %+v vs %+v", i, legacy[i].Report, modern[i].Report)
-		}
 	}
 }

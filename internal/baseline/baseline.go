@@ -47,23 +47,30 @@ func (p *firstFit) Run(api sim.API) error {
 	return nil // park wherever we are; likely not uniform
 }
 
-// Frame implements sim.Framer: the strawman as a resumable state
+// Frame implements sim.Program: the strawman as a resumable state
 // machine making the same API-call sequence as Run.
-func (p *firstFit) Frame() sim.Frame { return &firstFitFrame{p: p} }
+func (p *firstFit) Frame() sim.Frame { return &strideFrame{n: p.n, k: p.k, metered: true} }
 
-type firstFitFrame struct {
-	p       *firstFit
+// strideFrame is the stride-point hunt of FirstFit and noToken as a
+// frame: stride moves per hop, then settle at a vacant node, for at most
+// 2k hops. The two programs differ only in FirstFit's memory accounting
+// (metered).
+type strideFrame struct {
+	n, k    int
+	metered bool
 	started bool
 	stride  int
 	hop     int // completed stride hops
 	i       int // moves issued in the current hop
 }
 
-func (f *firstFitFrame) Step(api sim.API) sim.Action {
+func (f *strideFrame) Step(api sim.API) sim.Action {
 	if !f.started {
 		f.started = true
-		api.Meter().Set(4)
-		f.stride = f.p.n / f.p.k
+		if f.metered {
+			api.Meter().Set(4)
+		}
+		f.stride = f.n / f.k
 		if f.stride == 0 {
 			f.stride = 1
 		}
@@ -80,7 +87,7 @@ func (f *firstFitFrame) Step(api sim.API) sim.Action {
 		return sim.Action{Kind: sim.ActionDone}
 	}
 	f.hop++
-	if f.hop >= 2*f.p.k {
+	if f.hop >= 2*f.k {
 		return sim.Action{Kind: sim.ActionDone}
 	}
 	f.i = 1
@@ -89,7 +96,7 @@ func (f *firstFitFrame) Step(api sim.API) sim.Action {
 
 // SaveState/LoadState implement sim.FrameSaver: the frame's resumable
 // state is four scalars (started encoded as 0/1).
-func (f *firstFitFrame) SaveState(buf []int) []int {
+func (f *strideFrame) SaveState(buf []int) []int {
 	started := 0
 	if f.started {
 		started = 1
@@ -97,7 +104,7 @@ func (f *firstFitFrame) SaveState(buf []int) []int {
 	return append(buf, started, f.stride, f.hop, f.i)
 }
 
-func (f *firstFitFrame) LoadState(buf []int) int {
+func (f *strideFrame) LoadState(buf []int) int {
 	f.started = buf[0] != 0
 	f.stride, f.hop, f.i = buf[1], buf[2], buf[3]
 	return 4

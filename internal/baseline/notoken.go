@@ -53,3 +53,7 @@ func (p *noToken) Run(api sim.API) error {
 	}
 	return nil
 }
+
+// Frame implements sim.Program: the FirstFit stride hunt without its
+// memory accounting, making the same API-call sequence as Run.
+func (p *noToken) Frame() sim.Frame { return &strideFrame{n: p.n, k: p.k} }

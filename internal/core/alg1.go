@@ -115,7 +115,7 @@ func (p *alg1) circuitDone(tokensSeen, moved int) bool {
 	return moved >= p.value
 }
 
-// Frame implements sim.Framer: Algorithm 1 as a resumable state machine
+// Frame implements sim.Program: Algorithm 1 as a resumable state machine
 // making the same API-call sequence as Run, one atomic action per Step.
 func (p *alg1) Frame() sim.Frame { return &alg1Frame{p: p} }
 

@@ -263,7 +263,7 @@ func (p *alg2) follower(api sim.API) error {
 	return fmt.Errorf("%w: follower found no vacant target within (k+4)n moves", ErrInvariant)
 }
 
-// Frame implements sim.Framer: Algorithms 2+3 as a resumable state
+// Frame implements sim.Program: Algorithms 2+3 as a resumable state
 // machine making the same API-call sequence as Run, one atomic action
 // per Step.
 func (p *alg2) Frame() sim.Frame { return &alg2Frame{p: p} }

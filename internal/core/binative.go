@@ -106,7 +106,7 @@ func (p *biNative) Run(api sim.API) error {
 	return nil
 }
 
-// Frame implements sim.Framer: the bidirectional variant as a resumable
+// Frame implements sim.Program: the bidirectional variant as a resumable
 // state machine making the same API-call sequence as Run.
 func (p *biNative) Frame() sim.Frame { return &biNativeFrame{p: p} }
 

@@ -72,7 +72,7 @@ func (naiveEstimator) Run(api sim.API) error {
 	return nil
 }
 
-// Frame implements sim.Framer: the estimator as a resumable state
+// Frame implements sim.Program: the estimator as a resumable state
 // machine making the same API-call sequence as Run.
 func (naiveEstimator) Frame() sim.Frame { return &naiveFrame{} }
 

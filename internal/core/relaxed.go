@@ -164,7 +164,7 @@ func (p *relaxed) Run(api sim.API) error {
 	}
 }
 
-// Frame implements sim.Framer: Algorithms 4-6 as a resumable state
+// Frame implements sim.Program: Algorithms 4-6 as a resumable state
 // machine making the same API-call sequence as Run.
 func (p *relaxed) Frame() sim.Frame { return &relaxedFrame{p: p} }
 

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"agentring/internal/baseline"
+	"agentring/internal/core"
 	"agentring/internal/ring"
 	"agentring/internal/sim"
 	"agentring/internal/workload"
@@ -164,9 +166,10 @@ func TestAdversaryCrossCheckBruteForce(t *testing.T) {
 
 // TestAdversaryReductionAndModeConsistency re-argues the searches'
 // reductions under the online adversary by cross-checking every
-// combination that must agree: sleep sets on vs off, checkpoint mode vs
-// forced replay, sequential vs parallel. All must report the same state
-// count, terminal counts, verdict and coverage.
+// combination that must agree: sleep sets on vs off, sequential vs
+// parallel, each with and without every expanded state held to its
+// from-root re-execution (fromRootOracle). All must report the same
+// state count, terminal counts, verdict and coverage.
 func TestAdversaryReductionAndModeConsistency(t *testing.T) {
 	budget := &sim.AdversaryBudget{MaxConcurrent: 2, RepairWithin: 2, MaxTotal: 2}
 	setups := []struct {
@@ -187,16 +190,21 @@ func TestAdversaryReductionAndModeConsistency(t *testing.T) {
 			}{
 				{"baseline", Options{}},
 				{"no-reduction", Options{DisableReduction: true}},
-				{"force-replay", Options{ForceReplay: true}},
-				{"no-reduction-replay", Options{DisableReduction: true, ForceReplay: true}},
+				{"from-root", Options{}},
+				{"no-reduction-from-root", Options{DisableReduction: true}},
 				{"workers4", Options{Workers: 4}},
 			}
+			setup := Setup{N: sc.n, Homes: sc.homes, Programs: factory, Adversary: budget}
 			var ref Report
 			for i, v := range variants {
-				rep, err := Explore(context.Background(),
-					Setup{N: sc.n, Homes: sc.homes, Programs: factory, Adversary: budget}, v.opts)
-				if err != nil {
-					t.Fatalf("%s: %v", v.name, err)
+				var rep Report
+				if strings.HasSuffix(v.name, "from-root") {
+					rep = exploreChecked(t, setup, v.opts)
+				} else {
+					var err error
+					if rep, err = Explore(context.Background(), setup, v.opts); err != nil {
+						t.Fatalf("%s: %v", v.name, err)
+					}
 				}
 				if rep.Counterexample != nil {
 					t.Fatalf("%s: unexpected counterexample:\n%s", v.name, rep.Counterexample)
@@ -219,7 +227,8 @@ func TestAdversaryReductionAndModeConsistency(t *testing.T) {
 
 // TestAdversaryCounterexampleDeterministic pins that a breaking
 // adversary search reports the same canonical counterexample for every
-// worker count and search mode, with adversary moves rendered in the
+// worker count, with or without the from-root oracle attached, with
+// adversary moves rendered in the
 // schedule listing when they occur. NaiveHalting on the pumped ring is
 // the known breaking instance (Theorem 5); it breaks without faults, so
 // the lexicographically least counterexample is fault-free — the
@@ -238,12 +247,21 @@ func TestAdversaryCounterexampleDeterministic(t *testing.T) {
 	if static.Counterexample == nil {
 		t.Fatal("static naive search found no counterexample")
 	}
+	setup := Setup{N: n, Homes: homes, Programs: naiveFactory(len(homes)), Adversary: budget}
 	var first *Counterexample
-	for _, opts := range []Options{{}, {Workers: 4}, {ForceReplay: true}} {
-		rep, err := Explore(context.Background(),
-			Setup{N: n, Homes: homes, Programs: naiveFactory(len(homes)), Adversary: budget}, opts)
-		if err != nil {
-			t.Fatal(err)
+	for _, oracle := range []bool{false, false, true} {
+		opts := Options{}
+		if first != nil && !oracle {
+			opts.Workers = 4
+		}
+		var rep Report
+		if oracle {
+			rep = exploreChecked(t, setup, opts)
+		} else {
+			var err error
+			if rep, err = Explore(context.Background(), setup, opts); err != nil {
+				t.Fatal(err)
+			}
 		}
 		cex := rep.Counterexample
 		if cex == nil {
@@ -299,15 +317,14 @@ func TestAdversaryExcludesFixedFaults(t *testing.T) {
 	}
 }
 
-// TestCoroutineFallbackReplaysExactly pins the replay-from-root
-// fallback on a program that still runs only as a coroutine — the
-// knowledge-free noToken baseline — and that the paper's algorithms no
-// longer need it. It checks three things: (1) the noToken engine really
-// is not checkpointable, while alg2 and relaxed engines are; (2) an
-// auto-mode noToken search does exactly what a ForceReplay search does
-// (same replay and step counts — the fallback engaged, it didn't limp
-// through a broken checkpoint path); (3) the two reports agree.
-func TestCoroutineFallbackReplaysExactly(t *testing.T) {
+// TestEveryProgramCheckpoints pins that the explorer has one search
+// mode. Every program it is asked to check is a checkpointable frame —
+// here Algorithms 2+3 and 4-6 and the knowledge-free noToken baseline,
+// whose 4-ring search must also report identically at 1 and 4 workers
+// — while a setup whose programs are not (sim.ProgramFunc, the blocking
+// reference adapter) is rejected with ErrSetup naming the agent instead
+// of being searched some other way.
+func TestEveryProgramCheckpoints(t *testing.T) {
 	homes := []ring.NodeID{0, 2}
 	for name, factory := range map[string]Factory{"alg2": alg2Factory(2), "relaxed": relaxedFactory(2)} {
 		t.Run(name, func(t *testing.T) {
@@ -329,70 +346,61 @@ func TestCoroutineFallbackReplaysExactly(t *testing.T) {
 			return ps, nil
 		}
 		setup := Setup{N: 4, Homes: homes, Programs: noToken}
-		if requireCheckpointable(setup) == nil {
-			t.Fatal("noToken engine is checkpointable; pin the replay fallback on a program that is still coroutine-only")
-		}
-		auto, err := Explore(context.Background(), setup, Options{})
-		if err != nil {
+		if err := requireCheckpointable(setup); err != nil {
 			t.Fatal(err)
 		}
-		if auto.States < 2 {
-			t.Fatalf("noToken search explored nothing: %+v", auto)
+		seq := exploreChecked(t, setup, Options{})
+		if seq.States < 2 {
+			t.Fatalf("noToken search explored nothing: %+v", seq)
 		}
-		forced, err := Explore(context.Background(), setup, Options{ForceReplay: true})
-		if err != nil {
-			t.Fatal(err)
+		par := exploreChecked(t, setup, Options{Workers: 4})
+		if seq.States != par.States || seq.DistinctTerminals != par.DistinctTerminals ||
+			seq.Truncated != par.Truncated || seq.Complete != par.Complete ||
+			cexString(seq.Counterexample) != cexString(par.Counterexample) {
+			t.Fatalf("noToken reports diverge across worker counts:\n  workers=1: %+v\n  workers=4: %+v", seq, par)
 		}
-		// Replays and StepsReplayed are the modes' cost signatures: in
-		// checkpoint mode they differ wildly from replay mode (amortized
-		// O(stride) vs O(depth) per state). Identical counts mean the auto
-		// search really ran the replay path.
-		if auto.Replays != forced.Replays || auto.StepsReplayed != forced.StepsReplayed {
-			t.Fatalf("auto mode did not fall back to replay: auto replays=%d steps=%d, forced replays=%d steps=%d",
-				auto.Replays, auto.StepsReplayed, forced.Replays, forced.StepsReplayed)
+	})
+	t.Run("programFunc", func(t *testing.T) {
+		blocking := func() ([]sim.Program, error) {
+			p, err := core.NewAlg2(2)
+			if err != nil {
+				return nil, err
+			}
+			return []sim.Program{p, sim.ProgramFunc(p.Run)}, nil
 		}
-		if auto.States != forced.States || auto.DistinctTerminals != forced.DistinctTerminals ||
-			auto.Complete != forced.Complete || cexString(auto.Counterexample) != cexString(forced.Counterexample) {
-			t.Fatalf("fallback reports diverge:\n  auto:   %+v\n  forced: %+v", auto, forced)
+		_, err := Explore(context.Background(), Setup{N: 4, Homes: homes, Programs: blocking}, Options{})
+		if !errors.Is(err, ErrSetup) || !strings.Contains(err.Error(), "agent 1") {
+			t.Fatalf("err = %v, want ErrSetup naming agent 1", err)
 		}
 	})
 }
 
 // TestAdversaryCheckpointReplayFramed runs the frames of Algorithms 2+3
-// and 4-6 under the 1/3 online adversary on the 4-ring: checkpoint
-// searches at 1 and 4 workers must match the forced replay search in
-// coverage, truncation and counterexample.
+// and 4-6 under the 1/3 online adversary on the 4-ring, at 1 and 4
+// workers: every expanded state must equal its from-root re-execution,
+// and the reports must equal the ones the former replay-from-root
+// search produced.
 func TestAdversaryCheckpointReplayFramed(t *testing.T) {
 	budget := &sim.AdversaryBudget{MaxConcurrent: 1, RepairWithin: 3}
+	pins := map[string]pinnedReport{
+		"alg2":    {states: 594, pruned: 676, sleep: 8, terminals: 8, distinct: 2, deepest: 26, complete: true, cex: noCex},
+		"relaxed": {states: 3779, pruned: 4547, sleep: 27, terminals: 8, distinct: 2, deepest: 105, complete: true, cex: noCex},
+	}
 	for name, factory := range map[string]Factory{"alg2": alg2Factory(2), "relaxed": relaxedFactory(2)} {
 		t.Run(name, func(t *testing.T) {
 			setup := Setup{N: 4, Homes: []ring.NodeID{0, 1}, Programs: factory, Adversary: budget}
 			if err := requireCheckpointable(setup); err != nil {
 				t.Fatal(err)
 			}
-			rp, err := Explore(context.Background(), setup, Options{ForceReplay: true})
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, workers := range []int{1, 4} {
-				cp, err := Explore(context.Background(), setup, Options{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cp.States != rp.States || cp.DistinctTerminals != rp.DistinctTerminals ||
-					cp.Truncated != rp.Truncated || cp.Complete != rp.Complete {
-					t.Errorf("workers=%d: checkpoint and replay searches diverge:\ncheckpoint: %+v\nreplay:     %+v", workers, cp, rp)
-				}
-				if got, want := cexString(cp.Counterexample), cexString(rp.Counterexample); got != want {
-					t.Errorf("workers=%d: counterexamples differ:\ncheckpoint:\n%s\nreplay:\n%s", workers, got, want)
-				}
+				checkPinned(t, workers, exploreChecked(t, setup, Options{Workers: workers}), pins[name])
 			}
 		})
 	}
 }
 
-// requireCheckpointable reports why an engine built from setup would
-// not run the explorer's checkpoint mode, or nil if it would.
+// requireCheckpointable reports why an engine built from setup cannot
+// be searched, or nil if it can.
 func requireCheckpointable(setup Setup) error {
 	programs, err := setup.Programs()
 	if err != nil {
@@ -403,7 +411,7 @@ func requireCheckpointable(setup Setup) error {
 		return err
 	}
 	if !eng.Checkpointable() {
-		return fmt.Errorf("engine is not checkpointable: the explorer would replay from the root")
+		return fmt.Errorf("engine is not checkpointable: the explorer would reject it")
 	}
 	return nil
 }

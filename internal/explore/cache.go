@@ -23,7 +23,7 @@ type stats struct {
 	deepest           atomic.Int64
 }
 
-// observeDepth folds one replayed depth into the running maximum.
+// observeDepth folds one expanded depth into the running maximum.
 func (s *stats) observeDepth(depth int) {
 	d := int64(depth)
 	for {
@@ -73,7 +73,7 @@ func newStateCache() *stateCache {
 	return c
 }
 
-// visitOutcome says what the expansion loop must do with a replayed
+// visitOutcome says what the expansion loop must do with a reached
 // state after consulting the cache.
 type visitOutcome int
 
@@ -88,7 +88,7 @@ const (
 	visitTruncated
 )
 
-// visit applies the cache discipline to one replayed state under the
+// visit applies the cache discipline to one reached state under the
 // owning shard's lock and updates the scoreboard. It returns the
 // outcome, the (possibly intersected) sleep set an expansion must use,
 // and whether this visit is the first to see the key as a terminal —

@@ -11,22 +11,18 @@
 // A node of the tree is a prefix of scheduling decisions (indices into
 // the engine's deterministic enabled-choice order). Expanding a node
 // reaches its state and asks the engine for the enabled set there.
-// There are two ways to reach it: the checkpoint mode (the default
-// whenever the programs run as checkpointable frames — see sim's
-// FrameSaver — which every algorithm in internal/core does) restores a
-// pooled engine checkpoint at most CheckpointStride levels up and
-// applies only the missing decisions, while the replay mode (the
-// coroutine-only noToken and rendezvous programs, or
-// Options.ForceReplay) replays the whole prefix from the initial
-// configuration on a fresh engine under a sim.Controlled scheduler. Both modes share the same
-// caching, reduction, bounds, and verdict logic downstream of reaching
-// the state, and two reductions:
+// There is one way to reach it: every program runs as a frame that is
+// a sim.FrameSaver, so the search restores a pooled engine checkpoint
+// at most DefaultCheckpointStride levels up and applies only the
+// missing decisions. A setup whose programs are not checkpointable (a
+// sim.ProgramFunc, the blocking reference adapter) is rejected with
+// ErrSetup. Two reductions keep the tree small:
 //
-//   - canonical-state caching: every replayed prefix is hashed into a
-//     canonical state key (sim.Configuration.Key over the visible
+//   - canonical-state caching: every reached state is hashed into a
+//     canonical state key (sim.Engine.StateKey over the visible
 //     configuration plus the per-agent observation-history hashes that
-//     Options.TrackState maintains), and a state already explored at
-//     the same or shallower depth with the same or fewer suppressed
+//     sim.Options.TrackState maintains), and a state already explored
+//     at the same or shallower depth with the same or fewer suppressed
 //     transitions is pruned — converged branches are never re-expanded.
 //     The cache is sharded by key hash with per-shard locking, so
 //     workers rarely contend;
@@ -34,41 +30,43 @@
 //     of already-explored siblings are skipped, with commutation
 //     decided by the per-directed-edge independence relation below.
 //
-// # Checkpoint mode
+// # Checkpoints
 //
-// Replay-from-root made a state cost O(depth) engine steps; the
-// checkpoint search makes it amortized O(CheckpointStride). Each
-// worker owns one resident engine that simply sits wherever its last
-// expansion left it: in DFS order the next item popped is almost
-// always a child of that position, so the warm path applies exactly
-// one decision. Backtracks, steals, and cross-subtree jumps restore
-// the item's checkpoint — a reference-counted, pool-recycled
-// sim.Checkpoint captured at most CheckpointStride levels above it
-// (every expanded node either inherits its parent's reference or, at
-// stride boundaries, captures a fresh one) — and re-apply the short
-// suffix. An item's path is an immutable parent-chain of one-decision
-// nodes shared with its siblings, so creating a child is O(1) and the
-// full prefix slice is materialized only when a counterexample needs
-// confirming. The stride default (4) sits on the flat part of the
-// ns/state curve; steady-state expansion is allocation-light by
-// construction (pooled checkpoints, per-worker scratch, slice-backed
-// sleep sets), which BenchmarkExploreParallel's allocs/state metric
-// gates in CI.
+// Re-executing every prefix from the initial configuration would make
+// a state cost O(depth) engine steps; checkpoints make it amortized
+// O(DefaultCheckpointStride). Each worker owns one resident engine
+// that simply sits wherever its last expansion left it: in DFS order
+// the next item popped is almost always a child of that position, so
+// the warm path applies exactly one decision. Backtracks, steals, and
+// cross-subtree jumps restore the item's checkpoint — a
+// reference-counted, pool-recycled sim.Checkpoint captured at most
+// DefaultCheckpointStride levels above it (every expanded node either
+// inherits its parent's reference or, at stride boundaries, captures a
+// fresh one) — and re-apply the short suffix. An item's path is an
+// immutable parent-chain of one-decision nodes shared with its
+// siblings, so creating a child is O(1) and the full prefix slice is
+// materialized only when a counterexample needs confirming. The stride
+// (4) sits on the flat part of the ns/state curve; steady-state
+// expansion is allocation-light by construction (pooled checkpoints,
+// per-worker scratch, slice-backed sleep sets), which
+// BenchmarkExploreParallel's allocs/state metric gates in CI.
 //
-// Soundness reduces to the engine's restore ≡ replay guarantee
+// Soundness reduces to the engine's restore ≡ from-root guarantee
 // (sim.Checkpoint; TestFrameCoroutineCheckpointCrossCheck): a restored
-// engine is indistinguishable from one that executed the prefix, so
-// the search tree the checkpoint mode walks is *the same tree* the
-// replay mode walks — TestCheckpointReplayCrossCheck holds every
-// report field to that, per algorithm and fault timeline. Verdicts
-// stay byte-identical because every violation the checkpoint path
-// detects is confirmed by one sequential from-root replay before being
-// reported, so the emitted counterexample never depends on the search
-// mode, the worker count, or which checkpoint the detection ran from.
+// engine is indistinguishable from one that executed the prefix from
+// the initial configuration. TestCheckpointReplayCrossCheck holds the
+// search to it per algorithm and fault timeline: every expanded state
+// must equal its re-execution under sim.Controlled, and every report
+// must equal the one the package's former replay-from-root search
+// produced. Verdicts stay byte-identical because every violation is
+// confirmed by one sequential from-root re-execution (DecisionPoint and
+// ApplyChoice on a fresh engine) before being reported, so the emitted
+// counterexample never depends on the worker count or on which
+// checkpoint the detection ran from.
 //
 // # The parallel frontier
 //
-// Each worker owns a deque of pending prefixes: it pushes and pops at
+// Each worker owns a deque of pending items: it pushes and pops at
 // the bottom (depth-first local work, children before uncles, which
 // keeps the frontier small), while idle workers steal from the top of
 // a victim's deque — the shallowest item, the root of the largest
@@ -106,7 +104,7 @@
 // # Dynamic topologies (fault schedules)
 //
 // Setup.Faults attaches a link failure/repair timeline applied
-// identically in every replay, so the checker enumerates all agent
+// identically in every schedule, so the checker enumerates all agent
 // interleavings around a fixed fault schedule. Because fault steps are
 // indexed by atomic-action count (== decision depth), two of the static
 // search's assumptions fail, and the search compensates:
@@ -151,7 +149,7 @@
 //     at a boundary is empty by construction because sleep entries
 //     only propagate along agent actions out of all-links-up states.
 //     TestAdversaryReductionAndModeConsistency cross-checks reduced,
-//     reduction-free, replay-mode, and parallel searches;
+//     reduction-free, from-root-checked, and parallel searches;
 //   - cache keys: there is no pending timeline, so nothing depends on
 //     absolute depth. A state's future is the visible configuration
 //     plus the adversary's relative state, which sim.Engine.StateKey
@@ -166,17 +164,12 @@
 // enumeration of every fixed single-outage FaultSchedule within the
 // budget, at 1 and 4 workers alike.
 //
-// The checkpoint search core applies to adversary-mode searches
-// exactly as to static ones, for every algorithm compiled as a
-// checkpointable frame — all of internal/core, which
-// TestAdversaryCheckpointReplayFramed cross-checks against forced
-// replay for Algorithms 2+3 and 4-6. Programs that still run only as
-// coroutines (the noToken baseline, the rendezvous programs) report
-// Checkpointable() == false and silently fall back to
-// replay-from-root; TestCoroutineFallbackReplaysExactly pins that the
-// fallback engages (auto-mode replay counters equal ForceReplay's) and
-// reports identically, so the fallback costs performance, never
-// soundness.
+// Checkpoints serve adversary-mode searches exactly as static ones;
+// TestAdversaryCheckpointReplayFramed holds Algorithms 2+3 and 4-6
+// under the adversary to from-root re-execution and to their pinned
+// reports, and TestEveryProgramCheckpoints pins that the noToken
+// baseline searches like any algorithm while a ProgramFunc setup is
+// rejected.
 //
 // # Verdicts
 //

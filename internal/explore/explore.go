@@ -24,24 +24,26 @@ const (
 	DefaultMaxStates = 1 << 20
 )
 
-// DefaultCheckpointStride is the depth interval at which the
-// checkpointed search captures a fresh engine snapshot (see
-// Options.CheckpointStride). Chosen by BenchmarkExploreParallel: small
-// strides buy little (the warm-engine path already makes the common
-// expansion a single applied action) while paying a checkpoint copy
-// per stride levels; large strides lengthen the restore-replay suffix
-// after a steal. 4 sits on the flat part of the curve for every
-// benched workload.
+// DefaultCheckpointStride is the depth interval K at which the search
+// captures a fresh engine checkpoint for the subtree below: backtracking
+// (or stealing) restores the nearest checkpoint and re-applies at most K
+// recorded actions, so per-state cost is amortized O(K) instead of
+// O(depth). Chosen by BenchmarkExploreParallel: small strides buy little
+// (the warm-engine path already makes the common expansion a single
+// applied action) while paying a checkpoint copy per stride levels;
+// large strides lengthen the re-applied suffix after a steal. 4 sits on
+// the flat part of the curve for every benched workload.
 const DefaultCheckpointStride = 4
 
 // progressInterval is how often a running search emits Progress
 // snapshots; a variable so tests can tighten it.
 var progressInterval = 200 * time.Millisecond
 
-// Factory builds one fresh set of agent programs per replay. It is
-// called once for every expanded prefix, so it must be cheap and must
-// return programs in the same deterministic initial state every time.
-// It is called concurrently from search workers.
+// Factory builds one fresh set of agent programs per engine: one engine
+// per search worker, plus one per counterexample confirmation. It must
+// return programs in the same deterministic initial state every time,
+// whose frames are sim.FrameSaver (the search runs on engine
+// checkpoints), and it is called concurrently from search workers.
 type Factory func() ([]sim.Program, error)
 
 // Setup fixes the system whose schedule space is explored: a substrate
@@ -53,10 +55,10 @@ type Setup struct {
 	Programs Factory
 	// Topology, if non-nil, replaces the default N-node unidirectional
 	// ring. Topologies must be immutable: one value is shared across
-	// every replay. N is ignored (derived) when Topology is set.
+	// every engine. N is ignored (derived) when Topology is set.
 	Topology sim.Topology
 	// Faults schedules link mutations applied identically in every
-	// replay (sim.Options.Faults), so the checker enumerates all agent
+	// schedule (sim.Options.Faults), so the checker enumerates all agent
 	// interleavings around a fixed failure/repair timeline. Fault steps
 	// are indexed by atomic-action count, which equals the decision
 	// depth, making the schedule a deterministic function of depth — and
@@ -122,8 +124,8 @@ type Options struct {
 	// only changes wall-clock time, and is no longer limited by the
 	// root's branching factor.
 	Workers int
-	// MaxSteps is the per-replay engine step bound (0 = engine
-	// default). Replays that hit it produce a counterexample.
+	// MaxSteps is the engine step bound of one schedule (0 = engine
+	// default). Schedules that hit it produce a counterexample.
 	MaxSteps int
 	// MaxTotalMoves, if positive, makes any reached state whose total
 	// move count exceeds it a counterexample — a mechanical check of
@@ -139,21 +141,6 @@ type Options struct {
 	// only the work to cover it changes. Used to cross-check the
 	// reduction.
 	DisableReduction bool
-	// CheckpointStride is the depth interval K at which the
-	// checkpoint-driven search captures a new engine snapshot for the
-	// subtree below: backtracking (or stealing) restores the nearest
-	// checkpoint and re-applies at most K recorded actions, making
-	// per-state cost amortized O(K) instead of O(depth). Zero selects
-	// DefaultCheckpointStride. Meaningful only when every agent program
-	// is checkpointable (sim.FrameSaver); otherwise the search replays
-	// from the initial configuration as before.
-	CheckpointStride int
-	// ForceReplay disables the checkpoint/restore fast path, forcing
-	// replay-from-root even for checkpointable programs. Coverage,
-	// verdicts, and counterexamples are identical either way (the
-	// checkpoint cross-check tests pin this); the switch exists for
-	// those tests and for bisecting a suspected checkpoint bug.
-	ForceReplay bool
 	// Progress, if non-nil, receives periodic snapshots of the running
 	// search (roughly every 200ms, plus one final snapshot as the
 	// search finishes). It is called from a dedicated goroutine,
@@ -166,6 +153,12 @@ type Options struct {
 	// when the search finishes (len = effective worker count) — a test
 	// hook observing how the stealing discipline spread the work.
 	loads *[]int64
+	// onExpand, if non-nil, is called for every expanded item with its
+	// decision prefix, the reached state's Engine.StateKey, and the
+	// enabled choices there (the engine's buffer: valid during the
+	// call) — a test hook for checking restored states against
+	// from-root re-execution. Called concurrently from workers.
+	onExpand func(prefix []int, key uint64, enabled []sim.Choice)
 }
 
 // Progress is one live snapshot of a running search.
@@ -174,11 +167,12 @@ type Progress struct {
 	States int64
 	// Frontier is the number of work items queued or being expanded.
 	Frontier int64
-	// CacheHits counts replays pruned by the canonical-state cache.
+	// CacheHits counts expansions pruned by the canonical-state cache.
 	CacheHits int64
 	// SleepSkips counts transitions suppressed by the reduction.
 	SleepSkips int64
-	// Replays and StepsReplayed measure the search's real cost so far.
+	// Replays and StepsReplayed count expansions and the atomic actions
+	// they applied (see Report).
 	Replays       int64
 	StepsReplayed int64
 	// Elapsed is the wall-clock time since the search started.
@@ -197,7 +191,7 @@ type Counterexample struct {
 	Reason string
 	// Positions are the agents' final nodes in the failing state.
 	Positions []ring.NodeID
-	// Result is the engine result of the failing replay.
+	// Result is the engine result of the failing schedule.
 	Result sim.Result
 }
 
@@ -230,14 +224,17 @@ func (c *Counterexample) String() string {
 // Report summarizes one exploration.
 type Report struct {
 	// States counts distinct canonical states expanded; Pruned counts
-	// replays that converged onto an already-explored state.
+	// expansions that converged onto an already-explored state.
 	States int
 	Pruned int
 	// SleepSkips counts transitions suppressed by the sleep-set
 	// reduction.
 	SleepSkips int
-	// Replays counts engine replays; StepsReplayed their total atomic
-	// actions (the search's real cost).
+	// Replays counts expansions — each reaches its state by restoring a
+	// checkpoint or by continuing the worker's engine — plus one
+	// from-root re-execution per counterexample confirmation;
+	// StepsReplayed counts the atomic actions they applied (the
+	// search's real cost).
 	Replays       int
 	StepsReplayed int64
 	// Terminals counts quiescent leaves reached (with repetition);
@@ -375,41 +372,28 @@ func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, bounda
 		frontier: newFrontier(workers),
 		loads:    make([]atomic.Int64, workers),
 		start:    time.Now(),
-		stride:   opts.CheckpointStride,
 		wes:      make([]workerEngine, workers),
-	}
-	if x.stride <= 0 {
-		x.stride = DefaultCheckpointStride
 	}
 	x.cpPool.New = func() any { return new(sim.Checkpoint) }
 
-	// Probe for checkpoint mode: when every agent program runs as a
-	// FrameSaver frame, the search drives resident engines through
-	// restore + bounded re-apply instead of replaying every prefix from
-	// the initial configuration. The probe engine is recycled as worker
-	// 0's resident engine, and its capture of the initial configuration
-	// becomes the root checkpoint.
-	rootItem := item{}
-	if !opts.ForceReplay {
-		eng, err := x.newEngine()
-		if err != nil {
-			return Report{}, err
-		}
-		if eng.Checkpointable() {
-			root := x.cpPool.Get().(*sim.Checkpoint)
-			if err := eng.CheckpointTo(root); err != nil {
-				return Report{}, fmt.Errorf("%w: %v", ErrSetup, err)
-			}
-			x.cpMode = true
-			rootRef := &cpRef{cp: root}
-			rootRef.refs.Store(1)
-			rootItem.cp = rootRef
-			x.wes[0] = workerEngine{eng: eng}
-		}
+	// Worker 0's resident engine captures the initial configuration as
+	// the root checkpoint. Every agent's frame must be a sim.FrameSaver;
+	// a program that is not (a sim.ProgramFunc) is a setup error naming
+	// the agent.
+	eng, err := x.newEngine()
+	if err != nil {
+		return Report{}, err
 	}
+	root := x.cpPool.Get().(*sim.Checkpoint)
+	if err := eng.CheckpointTo(root); err != nil {
+		return Report{}, fmt.Errorf("%w: %v", ErrSetup, err)
+	}
+	rootRef := &cpRef{cp: root}
+	rootRef.refs.Store(1)
+	x.wes[0] = workerEngine{eng: eng}
 
 	// Watchdog: a context cancellation or an expired wall-clock budget
-	// stops the frontier; workers then drain within one replay each.
+	// stops the frontier; workers then drain within one expansion each.
 	watchDone := make(chan struct{})
 	var timerC <-chan time.Time
 	var timer *time.Timer
@@ -438,7 +422,7 @@ func run(ctx context.Context, setup Setup, opts Options, rankSrc []int32, bounda
 		}()
 	}
 
-	x.frontier.push(0, []item{rootItem})
+	x.frontier.push(0, []item{{cp: rootRef}})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -509,13 +493,10 @@ type explorer struct {
 	abort    atomic.Int32
 	start    time.Time
 
-	// Checkpoint mode (cpMode): every frontier item carries a reference
-	// to a pooled engine checkpoint at most stride levels above it, each
-	// worker owns one resident engine (wes), and expansion restores +
-	// re-applies the suffix instead of replaying from the initial
-	// configuration.
-	cpMode bool
-	stride int
+	// Every frontier item carries a reference to a pooled engine
+	// checkpoint at most DefaultCheckpointStride levels above it, and
+	// each worker owns one resident engine (wes): expansion restores and
+	// re-applies the suffix.
 	cpPool sync.Pool
 	wes    []workerEngine
 
@@ -529,8 +510,8 @@ type explorer struct {
 // item being expanded descends from the engine's current node — skips
 // the restore entirely; in DFS order that is the overwhelmingly common
 // case, so most states cost a single applied action. It doubles as the
-// worker's per-expansion scratch space (both search modes), which is
-// what keeps the steady-state expansion loop nearly allocation-free.
+// worker's per-expansion scratch space, which is what keeps the
+// steady-state expansion loop nearly allocation-free.
 type workerEngine struct {
 	eng      *sim.Engine
 	node     *prefixNode
@@ -568,17 +549,13 @@ func (x *explorer) work(w int) {
 		if !ok {
 			return
 		}
-		if x.cpMode {
-			x.expandCP(w, it)
-		} else {
-			x.expand(w, it)
-		}
+		x.expand(w, it)
 		x.frontier.finish()
 	}
 }
 
 // newEngine builds a fresh tracked engine over the setup (no scheduler:
-// checkpoint-mode engines are driven through the step API, never Run).
+// search engines are driven through the step API, never Run).
 func (x *explorer) newEngine() (*sim.Engine, error) {
 	programs, err := x.setup.Programs()
 	if err != nil {
@@ -596,47 +573,6 @@ func (x *explorer) newEngine() (*sim.Engine, error) {
 	return eng, nil
 }
 
-// replay runs the decision prefix on a fresh engine and returns the
-// replay scheduler (whose Record carries the enabled sets), the run
-// result, and the canonical state key of the reached configuration.
-func (x *explorer) replay(prefix []int) (*sim.Controlled, sim.Result, uint64, error) {
-	programs, err := x.setup.Programs()
-	if err != nil {
-		return nil, sim.Result{}, 0, fmt.Errorf("%w: %v", ErrSetup, err)
-	}
-	ctrl := sim.NewControlled(prefix)
-	// The topology is immutable (tokens are engine state), so one
-	// shared value serves every replay.
-	eng, err := sim.NewEngine(x.setup.Topology, x.setup.Homes, programs, sim.Options{
-		Scheduler:  ctrl,
-		MaxSteps:   x.opts.MaxSteps,
-		Faults:     x.setup.Faults,
-		Adversary:  x.setup.Adversary,
-		TrackState: true,
-	})
-	if err != nil {
-		return nil, sim.Result{}, 0, fmt.Errorf("%w: %v", ErrSetup, err)
-	}
-	res, runErr := eng.Run()
-	key := eng.Snapshot().Key()
-	x.st.replays.Add(1)
-	x.st.stepsReplayed.Add(int64(res.Steps))
-	if runErr != nil {
-		if errors.Is(runErr, sim.ErrBadSetup) {
-			return nil, res, key, runErr
-		}
-		// Program failures and step-limit overruns are findings, not
-		// search errors: this schedule defeats the algorithm.
-		x.foundCex(prefix, ctrl, res, runErr.Error())
-		return nil, res, key, errReported
-	}
-	return ctrl, res, key, nil
-}
-
-// errReported marks replays whose failure was already converted into a
-// counterexample; the worker just moves on.
-var errReported = errors.New("explore: reported")
-
 // fail records the first setup error and stops the search.
 func (x *explorer) fail(err error) {
 	x.mu.Lock()
@@ -651,14 +587,7 @@ func (x *explorer) fail(err error) {
 // keep the lexicographically least prefix, so the parallel phase's
 // candidate is already canonical among the violations it happened to
 // reach (Explore's sequential confirming pass pins full determinism).
-func (x *explorer) foundCex(prefix []int, ctrl *sim.Controlled, res sim.Result, reason string) {
-	schedule := make([]sim.Choice, 0, len(prefix))
-	for i, pick := range prefix {
-		if i >= len(ctrl.Record) {
-			break
-		}
-		schedule = append(schedule, ctrl.Record[i][pick])
-	}
+func (x *explorer) foundCex(prefix []int, schedule []sim.Choice, res sim.Result, reason string) {
 	cex := &Counterexample{
 		Prefix:    slices.Clone(prefix[:len(schedule)]),
 		Schedule:  schedule,
@@ -674,67 +603,9 @@ func (x *explorer) foundCex(prefix []int, ctrl *sim.Controlled, res sim.Result, 
 	x.frontier.requestStop()
 }
 
-// expand replays one prefix and, when the reached state is new work,
-// pushes its children onto the expanding worker's deque — in reverse
-// index order, so the owner pops them lexicographically.
-func (x *explorer) expand(w int, it item) {
-	if x.frontier.stopped() {
-		return
-	}
-	x.loads[w].Add(1)
-	ctrl, res, key, err := x.replay(it.prefix)
-	switch {
-	case errors.Is(err, errReported):
-		return
-	case err != nil:
-		x.fail(err)
-		return
-	}
-	depth := len(it.prefix)
-	x.st.observeDepth(depth)
-	if len(x.setup.Faults) > 0 {
-		// With faults, the pending mutation suffix is a function of the
-		// depth; fold it into the key so only equal-length prefixes can
-		// converge (see Setup.Faults).
-		key = mix64(key ^ (uint64(depth) + 1))
-	}
-
-	// Check the move bound before caching: move counts are path-dependent
-	// (excluded from the state key), so the check must see every replayed
-	// state — including quiescent terminals and pruned revisits.
-	if x.opts.MaxTotalMoves > 0 && res.TotalMoves > x.opts.MaxTotalMoves {
-		x.foundCex(it.prefix, ctrl, res,
-			fmt.Sprintf("total moves %d exceed bound %d", res.TotalMoves, x.opts.MaxTotalMoves))
-		return
-	}
-
-	outcome, sleep, firstTerminal := x.cache.visit(key, depth, it.sleep, res.Quiesced, int64(x.opts.MaxStates), &x.st)
-	if outcome != visitExpand {
-		return
-	}
-	if res.Quiesced {
-		if firstTerminal {
-			if why := x.setup.Property(res); why != "" {
-				x.foundCex(it.prefix, ctrl, res, why)
-			}
-		}
-		return
-	}
-	if depth >= x.opts.MaxDepth {
-		x.st.truncated.Add(1)
-		return
-	}
-
-	enabled := ctrl.Record[depth]
-	children := x.makeChildren(w, it, enabled, sleep, depth)
-	slices.Reverse(children)
-	x.frontier.push(w, children)
-}
-
 // makeChildren builds the frontier items for the unsuppressed enabled
 // choices of a node being expanded, applying the sleep-set reduction
-// and its fault-boundary stratification identically for the replay and
-// checkpoint search modes.
+// and its fault-boundary stratification.
 // The children slice and explored scratch are owned by the calling
 // worker and reused across expansions (frontier.push copies items into
 // the deque, so neither outlives the call).
@@ -787,19 +658,12 @@ func (x *explorer) makeChildren(w int, it item, enabled []sim.Choice, sleep slee
 				}
 			}
 		}
-		if x.cpMode {
-			// The path is the shared parent chain plus one edge: O(1)
-			// per child instead of an O(depth) prefix copy.
-			children = append(children, item{
-				node:  &prefixNode{parent: it.node, last: i, depth: depth + 1},
-				sleep: childSleep,
-			})
-		} else {
-			prefix := make([]int, len(it.prefix)+1)
-			copy(prefix, it.prefix)
-			prefix[len(it.prefix)] = i
-			children = append(children, item{prefix: prefix, sleep: childSleep})
-		}
+		// The path is the shared parent chain plus one edge: O(1) per
+		// child instead of an O(depth) prefix copy.
+		children = append(children, item{
+			node:  &prefixNode{parent: it.node, last: i, depth: depth + 1},
+			sleep: childSleep,
+		})
 		if c.Agent >= 0 {
 			// Only agent actions enter the commutation record: an
 			// adversary move is never a sound suppression for a sibling
@@ -813,16 +677,15 @@ func (x *explorer) makeChildren(w int, it item, enabled []sim.Choice, sleep slee
 	return children
 }
 
-// expandCP is expand for the checkpoint-driven search: instead of
-// replaying it.prefix from the initial configuration, it restores the
-// item's checkpoint (at most stride levels up) — or, on the warm path,
-// reuses the worker's resident engine already sitting at an ancestor —
-// and applies only the missing suffix. Everything downstream of
-// reaching the state (state keying, caching, reduction, bounds,
-// verdicts) is shared with the replay mode, and every counterexample is
-// routed through one from-root replay (confirmCex), so reports stay
-// byte-identical between modes and across worker counts.
-func (x *explorer) expandCP(w int, it item) {
+// expand reaches one item's state and, when it is new work, pushes its
+// children onto the expanding worker's deque — in reverse index order,
+// so the owner pops them lexicographically. It restores the item's
+// checkpoint (at most DefaultCheckpointStride levels up) — or, on the
+// warm path, reuses the worker's resident engine already sitting at an
+// ancestor — and applies only the missing suffix. Every counterexample
+// is routed through one from-root re-execution (confirmCex), so reports
+// are byte-identical across worker counts.
+func (x *explorer) expand(w int, it item) {
 	defer x.release(it.cp)
 	if x.frontier.stopped() {
 		return
@@ -844,7 +707,8 @@ func (x *explorer) expandCP(w int, it item) {
 	// first) down to the cheapest usable starting point: the worker's
 	// resident engine when it sits at an ancestor (the owner-pops-child
 	// case: exactly the parent), the item's checkpoint otherwise
-	// (backtracks and steals) — at most stride decisions away.
+	// (backtracks and steals) — at most DefaultCheckpointStride
+	// decisions away.
 	suffix := we.suffix[:0]
 	start := -1
 	for n := it.node; ; n = n.parent {
@@ -871,7 +735,7 @@ func (x *explorer) expandCP(w int, it item) {
 	for i := len(suffix) - 1; i >= 0; i-- {
 		cs := eng.DecisionPoint()
 		if suffix[i] >= len(cs) {
-			x.fail(fmt.Errorf("%w: checkpoint replay desynchronized at depth %d", ErrSetup, depth-1-i))
+			x.fail(fmt.Errorf("%w: checkpoint re-apply desynchronized at depth %d", ErrSetup, depth-1-i))
 			return
 		}
 		if eng.Steps() >= eng.StepLimit() {
@@ -905,9 +769,18 @@ func (x *explorer) expandCP(w int, it item) {
 	we.valid = true
 
 	key := eng.StateKey()
+	if x.opts.onExpand != nil {
+		x.opts.onExpand(materializePrefix(it.node), key, enabled)
+	}
 	if len(x.setup.Faults) > 0 {
+		// With faults, the pending mutation suffix is a function of the
+		// depth; fold it into the key so only equal-length prefixes can
+		// converge (see Setup.Faults).
 		key = mix64(key ^ (uint64(depth) + 1))
 	}
+	// Check the move bound before caching: move counts are path-dependent
+	// (excluded from the state key), so the check must see every reached
+	// state — including quiescent terminals and pruned revisits.
 	if x.opts.MaxTotalMoves > 0 && eng.TotalMoves() > x.opts.MaxTotalMoves {
 		x.confirmCex(materializePrefix(it.node))
 		return
@@ -937,7 +810,7 @@ func (x *explorer) expandCP(w int, it item) {
 	// levels, the parent's otherwise. References cover every child
 	// before the parent's own is released (deferred above).
 	ref := it.cp
-	if depth-ref.depth >= x.stride {
+	if depth-ref.depth >= DefaultCheckpointStride {
 		cp := x.cpPool.Get().(*sim.Checkpoint)
 		if err := eng.CheckpointTo(cp); err != nil {
 			x.fail(fmt.Errorf("%w: %v", ErrSetup, err))
@@ -953,36 +826,65 @@ func (x *explorer) expandCP(w int, it item) {
 	x.frontier.push(w, children)
 }
 
-// confirmCex converts a violation the checkpoint path detected into the
-// canonical counterexample by replaying the prefix once from the
-// initial configuration: the replay's Record supplies the schedule (and
-// its truncation on step-limit overruns), so the emitted counterexample
-// is byte-identical to the one the replay-only search reports for the
-// same prefix — regardless of search mode, worker count, or which
-// checkpoint the detection ran from.
+// confirmCex converts a violation detected during expansion into the
+// canonical counterexample by re-executing the prefix from the initial
+// configuration on a fresh engine, through DecisionPoint/ApplyChoice.
+// It stops where Run would — past the prefix, on quiescence, at the step
+// limit, or on a program error — and the choices it applied are the
+// schedule, so the emitted counterexample is the same for every worker
+// count and whichever checkpoint the detection ran from.
 func (x *explorer) confirmCex(prefix []int) {
-	ctrl, res, _, err := x.replay(prefix)
-	switch {
-	case errors.Is(err, errReported):
-		return // program failure or step limit: replay already reported it
-	case err != nil:
+	eng, err := x.newEngine()
+	if err != nil {
 		x.fail(err)
 		return
 	}
-	if x.opts.MaxTotalMoves > 0 && res.TotalMoves > x.opts.MaxTotalMoves {
-		x.foundCex(prefix, ctrl, res,
-			fmt.Sprintf("total moves %d exceed bound %d", res.TotalMoves, x.opts.MaxTotalMoves))
-		return
-	}
-	if res.Quiesced {
-		if why := x.setup.Property(res); why != "" {
-			x.foundCex(prefix, ctrl, res, why)
+	schedule := make([]sim.Choice, 0, len(prefix))
+	reason := ""
+	for d := 0; ; d++ {
+		cs := eng.DecisionPoint()
+		if len(cs) == 0 {
+			break
+		}
+		if eng.Steps() >= eng.StepLimit() {
+			reason = fmt.Sprintf("%v (limit %d)", sim.ErrStepLimit, eng.StepLimit())
+			break
+		}
+		if d == len(prefix) {
+			break
+		}
+		if prefix[d] >= len(cs) {
+			x.fail(fmt.Errorf("%w: counterexample re-execution desynchronized at depth %d", ErrSetup, d))
 			return
 		}
+		schedule = append(schedule, cs[prefix[d]])
+		if err := eng.ApplyChoice(cs[prefix[d]]); err != nil {
+			if errors.Is(err, sim.ErrBadSetup) {
+				x.fail(err)
+				return
+			}
+			// A program failure: this schedule defeats the algorithm.
+			reason = err.Error()
+			break
+		}
 	}
-	// The confirming replay must reproduce the violation; reaching here
-	// means checkpoint and replay executions disagree on this prefix.
-	x.fail(fmt.Errorf("%w: checkpoint/replay divergence on prefix %v", ErrSetup, prefix))
+	x.st.replays.Add(1)
+	x.st.stepsReplayed.Add(int64(eng.Steps()))
+	res := eng.ResultNow()
+	switch {
+	case reason != "":
+	case x.opts.MaxTotalMoves > 0 && res.TotalMoves > x.opts.MaxTotalMoves:
+		reason = fmt.Sprintf("total moves %d exceed bound %d", res.TotalMoves, x.opts.MaxTotalMoves)
+	case res.Quiesced:
+		reason = x.setup.Property(res)
+	}
+	if reason == "" {
+		// The re-execution must reproduce the violation; reaching here
+		// means restored and from-root executions disagree on this prefix.
+		x.fail(fmt.Errorf("%w: checkpoint/from-root divergence on prefix %v", ErrSetup, prefix))
+		return
+	}
+	x.foundCex(prefix, schedule, res, reason)
 }
 
 // snapshot assembles one Progress from the live counters.

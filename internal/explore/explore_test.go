@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"agentring/internal/core"
 	"agentring/internal/ring"
@@ -74,6 +75,55 @@ func naiveFactory(k int) Factory {
 		}
 		return ps, nil
 	}
+}
+
+// walkers builds one checkpointable walker per entry of steps.
+func walkers(pause time.Duration, steps ...int) Factory {
+	return func() ([]sim.Program, error) {
+		ps := make([]sim.Program, len(steps))
+		for i, n := range steps {
+			ps[i] = &walker{left: n, pause: pause}
+		}
+		return ps, nil
+	}
+}
+
+// walker is a checkpointable test program that makes left moves and
+// halts. It sleeps for pause in every activation, which keeps each
+// expansion slow enough for timing-dependent tests to observe a running
+// search.
+type walker struct {
+	left  int
+	pause time.Duration
+}
+
+func (w *walker) Run(api sim.API) error {
+	for {
+		time.Sleep(w.pause)
+		if w.left == 0 {
+			return nil
+		}
+		w.left--
+		api.Move()
+	}
+}
+
+func (w *walker) Frame() sim.Frame { return w }
+
+func (w *walker) Step(sim.API) sim.Action {
+	time.Sleep(w.pause)
+	if w.left == 0 {
+		return sim.Action{Kind: sim.ActionDone}
+	}
+	w.left--
+	return sim.Action{Kind: sim.ActionMove}
+}
+
+func (w *walker) SaveState(buf []int) []int { return append(buf, w.left) }
+
+func (w *walker) LoadState(buf []int) int {
+	w.left = buf[0]
+	return 1
 }
 
 // TestExhaustiveCleanAlgorithms model-checks the paper's universally

@@ -162,8 +162,9 @@ func TestExplorePermanentFaultCounterexampleReplays(t *testing.T) {
 // TestExploreFaultSearchShape pins the deterministic shape of a fault
 // search: two sequential runs must agree exactly, and the statistics
 // are pinned as golden values so any change to the fault search's
-// caching or replay behaviour surfaces here before it can silently
-// alter coverage.
+// caching or checkpoint behaviour surfaces here before it can silently
+// alter coverage. StepsReplayed is the checkpoint search's cost: 24
+// actions for 17 expansions.
 //
 // A note on the depth-keyed cache this exercises: with TrackState on,
 // two prefixes of *different* lengths are not known to ever produce
@@ -180,21 +181,10 @@ func TestExplorePermanentFaultCounterexampleReplays(t *testing.T) {
 func TestExploreFaultSearchShape(t *testing.T) {
 	// Two independent walkers; the 1 -> 2 edge is down only for a
 	// window in the middle of the run.
-	factory := func() ([]sim.Program, error) {
-		mk := func(steps int) sim.Program {
-			return sim.ProgramFunc(func(api sim.API) error {
-				for i := 0; i < steps; i++ {
-					api.Move()
-				}
-				return nil
-			})
-		}
-		return []sim.Program{mk(2), mk(2)}, nil
-	}
 	setup := Setup{
 		N:        6,
 		Homes:    []ring.NodeID{0, 3},
-		Programs: factory,
+		Programs: walkers(0, 2, 2),
 		Faults: sim.FaultSchedule{
 			{Step: 2, From: 1, Port: 0, Up: false},
 			{Step: 5, From: 1, Port: 0, Up: true},
@@ -228,7 +218,7 @@ func TestExploreFaultSearchShape(t *testing.T) {
 		Pruned:            3,
 		SleepSkips:        4,
 		Replays:           17,
-		StepsReplayed:     50,
+		StepsReplayed:     24,
 		Terminals:         1,
 		DistinctTerminals: 1,
 		Deepest:           6,

@@ -5,24 +5,21 @@ import (
 	"sync/atomic"
 )
 
-// item is one unit of search work: a replayable decision prefix plus
-// the sleep set in force when it was generated. Each item owns its
-// prefix slice — items migrate between workers, so nothing may alias.
-// In checkpoint mode, cp references an engine checkpoint at most
-// CheckpointStride levels above the prefix: the expanding worker (owner
-// or thief alike) restores it and applies only the missing suffix, so a
-// stolen item never replays from the initial configuration. The
-// checkpoint contents are immutable while referenced; the reference
-// count returns them to the pool.
+// item is one unit of search work: a node of the decision tree plus
+// the sleep set in force when it was generated. cp references an engine
+// checkpoint at most DefaultCheckpointStride levels above the node: the
+// expanding worker (owner or thief alike) restores it and applies only
+// the missing suffix, so no item re-executes from the initial
+// configuration. The checkpoint contents are immutable while
+// referenced; the reference count returns them to the pool.
 type item struct {
-	prefix []int
-	sleep  sleepSet
-	cp     *cpRef
-	// node replaces prefix in checkpoint mode: the decision path is an
-	// immutable parent-chain (one 3-word node per tree edge, shared by
-	// all descendants) instead of one O(depth) slice per item — which is
-	// what makes per-state cost O(stride) rather than O(depth). Full
-	// slices are materialized only for counterexample confirmation.
+	sleep sleepSet
+	cp    *cpRef
+	// node is the decision path as an immutable parent-chain (one 3-word
+	// node per tree edge, shared by all descendants) instead of one
+	// O(depth) slice per item — which is what makes per-state cost
+	// O(stride) rather than O(depth). Full slices are materialized only
+	// for counterexample confirmation and the onExpand test hook.
 	node *prefixNode
 }
 
@@ -63,9 +60,10 @@ func materializePrefix(n *prefixNode) []int {
 // steal buys a thief the most private work before it must steal again.
 //
 // Deques are mutex-protected rather than lock-free: one expansion costs
-// a full engine replay (tens of microseconds), so deque operations are
-// nowhere near the critical path and the simple discipline is worth
-// more than the nanoseconds a Chase-Lev deque would save.
+// an engine step, a state key and a cache visit (microseconds), so
+// deque operations are nowhere near the critical path and the simple
+// discipline is worth more than the nanoseconds a Chase-Lev deque would
+// save.
 //
 // With Workers=1 the frontier degenerates to an explicit DFS stack:
 // expand pushes children bottom-up in reverse index order, next pops

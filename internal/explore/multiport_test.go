@@ -44,24 +44,54 @@ func searchBoth(t *testing.T, setup Setup, opts Options) (with, without raceResu
 // the same shape runs on any substrate.
 func racyPrograms(route0 []int, route1 []int, back0 int) Factory {
 	return func() ([]sim.Program, error) {
-		a0 := sim.ProgramFunc(func(api sim.API) error {
-			for _, p := range route0 {
-				api.MoveVia(p)
-			}
-			if api.TokensHere() > 0 {
-				api.MoveVia(back0)
-			}
-			return nil
-		})
-		a1 := sim.ProgramFunc(func(api sim.API) error {
-			for _, p := range route1 {
-				api.MoveVia(p)
-			}
-			api.ReleaseToken()
-			return nil
-		})
-		return []sim.Program{a0, a1}, nil
+		return []sim.Program{&racer{route: route0, back: back0}, &racer{route: route1, drop: true}}, nil
 	}
+}
+
+// racer is a checkpointable test program: it walks route, one port per
+// activation, then either drops its token (drop) or doubles back via
+// port back iff it finds a token there.
+type racer struct {
+	route []int
+	back  int
+	drop  bool
+	acts  int // activations taken
+}
+
+func (r *racer) Run(api sim.API) error {
+	for _, p := range r.route {
+		api.MoveVia(p)
+	}
+	if r.drop {
+		api.ReleaseToken()
+	} else if api.TokensHere() > 0 {
+		api.MoveVia(r.back)
+	}
+	return nil
+}
+
+func (r *racer) Frame() sim.Frame { return r }
+
+func (r *racer) Step(api sim.API) sim.Action {
+	r.acts++
+	switch {
+	case r.acts <= len(r.route):
+		return sim.Action{Kind: sim.ActionMove, Port: r.route[r.acts-1]}
+	case r.acts > len(r.route)+1:
+		// Arrived after doubling back.
+	case r.drop:
+		api.ReleaseToken()
+	case api.TokensHere() > 0:
+		return sim.Action{Kind: sim.ActionMove, Port: r.back}
+	}
+	return sim.Action{Kind: sim.ActionDone}
+}
+
+func (r *racer) SaveState(buf []int) []int { return append(buf, r.acts) }
+
+func (r *racer) LoadState(buf []int) int {
+	r.acts = buf[0]
+	return 1
 }
 
 // TestSleepSetSoundOnMultiPort is the regression test for the footprint

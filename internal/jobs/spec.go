@@ -25,7 +25,7 @@ const (
 	// KindExplore model-checks one configuration's schedule space
 	// (agentring.Explore). Explorations are single-cell; the job context
 	// reaches into the search, so job.cancel interrupts an exploration
-	// mid-flight (within roughly one replay per worker), and the search
+	// mid-flight (within roughly one expansion per worker), and the search
 	// streams "progress" events carrying live explorer counters.
 	KindExplore Kind = "explore"
 )

@@ -15,10 +15,13 @@ func (m *Meter) Grow(words int) {
 	}
 }
 
-// Shrink releases words live words. Shrinking below zero clamps to zero;
-// that indicates a bookkeeping bug in the caller but must not corrupt the
-// peak statistic.
+// Shrink releases words live words. Shrinking below zero clamps to zero,
+// and a negative count releases nothing; both indicate a bookkeeping bug
+// in the caller but must not corrupt the peak statistic.
 func (m *Meter) Shrink(words int) {
+	if words < 0 {
+		return
+	}
 	m.current -= words
 	if m.current < 0 {
 		m.current = 0

@@ -38,6 +38,11 @@ func TestMeterShrinkClampsAtZero(t *testing.T) {
 	if got := m.Peak(); got != 2 {
 		t.Errorf("peak = %d, want 2", got)
 	}
+	// A negative release must not push the live count past the peak.
+	m.Shrink(-5)
+	if cur, peak := m.Current(), m.Peak(); cur != 0 || peak != 2 {
+		t.Errorf("after Shrink(-5): current = %d, peak = %d, want 0 and 2", cur, peak)
+	}
 }
 
 func TestMeterSet(t *testing.T) {

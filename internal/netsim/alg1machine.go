@@ -11,7 +11,7 @@ import (
 // Alg1Machine is Algorithm 1 (the paper's native O(k log n)-memory
 // uniform deployment with knowledge of k) re-implemented as a
 // serializable state machine for the message-passing substrate. Its
-// decisions are identical to internal/core's coroutine implementation,
+// decisions are identical to internal/core's implementation,
 // which is what the cross-validation tests exploit.
 type Alg1Machine struct {
 	// K is the number of agents, the knowledge this variant assumes.

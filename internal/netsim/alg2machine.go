@@ -19,7 +19,7 @@ type netDeployMsg struct {
 // Alg2Machine is Algorithms 2+3 (the log-space uniform deployment with
 // knowledge of k) as a serializable state machine for the
 // message-passing substrate. Decision logic mirrors internal/core's
-// coroutine implementation step for step.
+// implementation step for step.
 type Alg2Machine struct {
 	// K is the number of agents.
 	K int
@@ -39,7 +39,7 @@ const (
 )
 
 // alg2MState is the serialized agent state. All fields are O(log n)
-// bits, like the coroutine version.
+// bits, like the internal/core version.
 type alg2MState struct {
 	Phase alg2MPhase `json:"phase"`
 

@@ -12,7 +12,7 @@ import (
 )
 
 // TestCrossValidateAgainstCoroutineEngine runs Algorithm 1 on both
-// substrates — the deterministic coroutine engine (internal/sim) and
+// substrates — the deterministic atomic-action engine (internal/sim) and
 // this concurrent message-passing runtime — and demands *identical*
 // final positions. The algorithm's decisions depend only on the token
 // geometry, so any divergence would expose a semantics bug in one of
@@ -27,7 +27,7 @@ func TestCrossValidateAgainstCoroutineEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Substrate 1: coroutine engine.
+		// Substrate 1: atomic-action engine.
 		programs := make([]sim.Program, k)
 		for i := range programs {
 			p, err := core.NewAlg1(core.KnowAgents, k)

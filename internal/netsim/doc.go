@@ -27,7 +27,7 @@
 // substrates must produce identical final positions despite completely
 // different concurrency structures (crossvalidate_test.go sweeps
 // placements; machines_test.go pins each state machine against its
-// coroutine twin). It deliberately supports neither alternative
+// internal/core twin). It deliberately supports neither alternative
 // topologies nor fault schedules — it is the ring-only referee, and the
 // public RunConcurrent rejects configurations it cannot express.
 package netsim

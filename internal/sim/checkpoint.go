@@ -17,11 +17,10 @@ import (
 // the extended slice; LoadState reads the same words back from the
 // front of buf and returns how many it consumed. The two must be exact
 // inverses: after LoadState(SaveState(nil)) the frame's next Step must
-// behave identically. Frames that cannot promise this (or coroutine
-// programs, which have no frame at all) simply don't implement the
-// interface, and engines running them report Checkpointable() == false;
-// replay-driven tools then fall back to re-executing prefixes from the
-// initial configuration, which is always sound.
+// behave identically. Every program's frame implements it except
+// ProgramFunc's coroutine adapter, whose state is a goroutine stack;
+// engines running one report Checkpointable() == false, and the
+// schedule explorer rejects them.
 //
 // Checkpoints copy mailboxes by reference to their messages, so one
 // message value is shared by every engine restored from them: a frame
@@ -49,12 +48,10 @@ type FrameSaver interface {
 // CheckpointTo, so a pooled Checkpoint reaches zero steady-state
 // allocations once its capacities have grown to fit.
 //
-// Not captured (documented limits, all irrelevant to replay-driven
+// Not captured (documented limits, all irrelevant to step-driven
 // search): scheduler state (Controlled/RoundRobin cursors live outside
 // the engine; the step-driven DecisionPoint/ApplyChoice API needs no
-// scheduler), trace sinks and observers (streams, not state), and
-// coroutine stacks (engines with coroutine agents are not
-// checkpointable at all).
+// scheduler) and trace sinks and observers (streams, not state).
 type Checkpoint struct {
 	n, k, m int // shape guard: nodes, agents, directed edges
 
@@ -118,17 +115,11 @@ func cloneBitsetInto(dst, src *bitset) *bitset {
 }
 
 // Checkpointable reports whether the engine's full state can be
-// captured by Checkpoint: every agent must execute as a Frame (not a
-// coroutine) and every frame must implement FrameSaver. Coroutine
-// agents park their state in a goroutine stack, which cannot be copied;
-// engines running any revert replay-driven tools to
-// re-execution-from-initial, cross-checked against the checkpoint path
-// by the explorer's tests.
+// captured by Checkpoint: every agent's frame must implement FrameSaver.
+// Only ProgramFunc agents fail this — their state is a goroutine stack,
+// which cannot be copied.
 func (e *Engine) Checkpointable() bool {
 	for i := range e.frame {
-		if e.frame[i] == nil {
-			return false
-		}
 		if _, ok := e.frame[i].(FrameSaver); !ok {
 			return false
 		}
@@ -158,7 +149,7 @@ func (e *Engine) CheckpointTo(cp *Checkpoint) error {
 	for i := range e.frame {
 		fs, ok := e.frame[i].(FrameSaver)
 		if !ok {
-			return fmt.Errorf("%w: agent %d is not checkpointable (coroutine or frame without FrameSaver)", ErrBadSetup, i)
+			return fmt.Errorf("%w: agent %d is not checkpointable (its frame is not a FrameSaver)", ErrBadSetup, i)
 		}
 		cp.frameWords = fs.SaveState(cp.frameWords)
 	}
@@ -224,8 +215,8 @@ func (e *Engine) CheckpointTo(cp *Checkpoint) error {
 // Restore composes with the step-driven API: after Restore, the next
 // DecisionPoint returns exactly the enabled set the source engine saw
 // at capture time, and identical choice sequences lead to byte-
-// identical traces, snapshots, and results (the checkpoint/replay
-// cross-check tests pin this).
+// identical traces, snapshots, and results (the checkpoint cross-check
+// tests pin this).
 func (e *Engine) Restore(cp *Checkpoint) error {
 	if cp.n != e.et.n || cp.k != len(e.node) || cp.m != e.et.edges() {
 		return fmt.Errorf("%w: checkpoint shape (n=%d k=%d m=%d) does not match engine (n=%d k=%d m=%d)",
@@ -239,7 +230,7 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	for i := range e.frame {
 		fs, ok := e.frame[i].(FrameSaver)
 		if !ok {
-			return fmt.Errorf("%w: agent %d is not checkpointable (coroutine or frame without FrameSaver)", ErrBadSetup, i)
+			return fmt.Errorf("%w: agent %d is not checkpointable (its frame is not a FrameSaver)", ErrBadSetup, i)
 		}
 		off += fs.LoadState(cp.frameWords[off:])
 	}
@@ -316,8 +307,8 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 // the next batch force-fires (repairs need no agent's help). An empty
 // return means the engine has quiesced.
 //
-// DecisionPoint/ApplyChoice are the scheduler-free driving API that
-// replay tools use instead of Run: the caller is the scheduler. The
+// DecisionPoint/ApplyChoice are the scheduler-free driving API the
+// schedule explorer uses instead of Run: the caller is the scheduler. The
 // returned slice is the engine's reusable buffer — valid until the next
 // engine call. DecisionPoint is idempotent at a decision point, so
 // restoring a checkpoint taken after one and calling it again returns

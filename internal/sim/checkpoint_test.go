@@ -250,7 +250,7 @@ func TestCheckpointablePredicate(t *testing.T) {
 	if !cpable.Checkpointable() {
 		t.Error("FrameSaver engine should be checkpointable")
 	}
-	// walker implements Framer but not FrameSaver.
+	// walker's frame is not a FrameSaver.
 	plain, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{walker(3)}, Options{})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -261,14 +261,14 @@ func TestCheckpointablePredicate(t *testing.T) {
 	if _, err := plain.Checkpoint(); !errors.Is(err, ErrBadSetup) {
 		t.Errorf("Checkpoint error = %v, want ErrBadSetup", err)
 	}
-	// ForceCoroutine strips the frames entirely.
-	coro, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{&chatty{hops: 2}},
-		Options{ForceCoroutine: true})
+	// ProgramFunc runs Run on a coroutine, whose stack cannot be saved.
+	p := &chatty{hops: 2}
+	coro, err := NewEngine(ring.MustNew(4), []ring.NodeID{0}, []Program{ProgramFunc(p.Run)}, Options{})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	if coro.Checkpointable() {
-		t.Error("coroutine engine should not be checkpointable")
+		t.Error("ProgramFunc engine should not be checkpointable")
 	}
 }
 

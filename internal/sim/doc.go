@@ -7,12 +7,13 @@
 // # Execution model
 //
 // Each agent executes a Program against the API, one agent at a time,
-// so executions are deterministic given a scheduler, yet the agent code
-// reads like the paper's sequential pseudocode. Programs that implement
-// Framer run as resumable frames — a Step call per activation, no
-// goroutine, no stack — while plain Programs fall back to a coroutine
-// (iter.Pull) with identical observable behaviour (the contract on
-// Frame; TestFrameCoroutineCrossCheck holds every algorithm to it). An
+// so executions are deterministic given a scheduler. The engine has one
+// execution path: every Program supplies a Frame, a resumable state
+// machine stepped once per activation with no goroutine and no stack.
+// Each Program also keeps its Run, the algorithm as the paper's
+// sequential pseudocode; ProgramFunc runs such blocking code on a
+// coroutine behind a frame, and TestFrameCoroutineCrossCheck holds every
+// algorithm's frame to ProgramFunc(p.Run) (the contract on Frame). An
 // activation is one atomic action:
 //
 //  1. the agent arrives at a node (popped from the head of one incoming
@@ -23,7 +24,8 @@
 //  3. the agent performs local computation (token release, broadcasts
 //     to co-located staying agents), and
 //  4. it either moves (appending itself to the tail of an outgoing FIFO
-//     link), suspends awaiting a message, or halts (its Run returns).
+//     link), suspends awaiting a message, or halts — the Action its
+//     Step returns.
 //
 // # Invariants
 //
@@ -61,7 +63,7 @@
 // bitsets (bitset.go) maintained incrementally; under the round-robin
 // scheduler the engine picks the next enabled action branch-free with a
 // cyclic next-set-bit scan and never materializes a choice slice at
-// all. Framer agents resume without any goroutine hand-off. The result
+// all. Agents resume without any goroutine hand-off. The result
 // is a steady-state loop with no allocation, no interface calls, and
 // tens of nanoseconds per atomic action up to million-node rings
 // (~45 retained bytes per node). BenchmarkSteadyState — now spanning
@@ -77,16 +79,13 @@
 // epoch/down-mask/cursor, and the agents' program state — as one flat,
 // engine-independent copy (checkpoint.go). CheckpointTo reuses the
 // destination's storage, so a pooled checkpoint costs zero steady-state
-// allocations. Program state is only capturable for Framer programs
-// whose frames also implement FrameSaver (a save/load of their resumable
-// state as plain ints); Checkpointable reports whether an engine
-// qualifies. Coroutine agents (today only the noToken baseline and the
-// rendezvous programs) hold their state on a goroutine stack that
-// cannot be copied, so the coroutine fallback stays replay-only —
-// and TestFrameCoroutineCheckpointCrossCheck holds a checkpoint-
-// round-tripped frame engine to the coroutine reference at every
-// decision point, which is the "restore ≡ replay" guarantee the
-// schedule explorer's checkpoint mode builds on.
+// allocations. Program state is captured through FrameSaver (a
+// save/load of each frame's resumable state as plain ints), which every
+// program's frame implements; only ProgramFunc agents, whose state is a
+// goroutine stack, leave an engine not Checkpointable.
+// TestFrameCoroutineCheckpointCrossCheck holds a checkpoint-round-tripped
+// frame engine to the ProgramFunc reference at every decision point:
+// the "restore ≡ from-root" guarantee the schedule explorer builds on.
 //
 // Alongside restore sits the step-driven control surface the explorer
 // uses instead of Run: DecisionPoint fires due faults and returns the
@@ -112,6 +111,6 @@
 // Fairness is the scheduler's contract: every enabled agent must be
 // chosen infinitely often. All schedulers in this package are fair; the
 // adversarial one is fair with the maximum skew its bound allows, and
-// Controlled is the replay primitive the schedule-space explorer
-// (internal/explore) drives.
+// Controlled replays a recorded decision prefix — how tests re-execute
+// an explored schedule from the initial configuration.
 package sim

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"reflect"
 
 	"agentring/internal/memmeter"
@@ -18,11 +17,6 @@ var (
 	// ErrBadSetup covers invalid engine construction arguments.
 	ErrBadSetup = errors.New("sim: invalid setup")
 )
-
-// errStopped is the sentinel panic raised inside blocked API calls when
-// the engine shuts down after quiescence; the agent coroutine wrapper
-// recovers it and treats the agent as cleanly retired while suspended.
-var errStopped = errors.New("sim: engine stopped")
 
 // Options configures an Engine.
 type Options struct {
@@ -66,34 +60,6 @@ type Options struct {
 	// recognize converged branches. Off by default: hashing message
 	// payloads costs a formatting pass per delivery.
 	TrackState bool
-	// ForceCoroutine disables the Frame fast path: programs that
-	// implement Framer run their coroutine Run instead. The two paths
-	// are observationally identical (the frame-vs-coroutine cross-check
-	// executes both and compares traces and state hashes); this switch
-	// exists for that test and for bisecting a suspected frame bug.
-	ForceCoroutine bool
-}
-
-type yieldKind int
-
-const (
-	yieldMove yieldKind = iota + 1
-	yieldAwait
-	yieldDone
-)
-
-type yieldEvent struct {
-	kind yieldKind
-	port int // out-port for yieldMove
-	err  error
-}
-
-// coroState is the lazily created coroutine of one non-frame agent.
-type coroState struct {
-	// next resumes the coroutine until its next yield; stop retires it.
-	next  func() (yieldEvent, bool)
-	stop  func()
-	yield func(yieldEvent) bool
 }
 
 // Engine drives one execution of a set of agent programs on a topology
@@ -132,7 +98,7 @@ type Engine struct {
 
 	// Agent tables: parallel arrays indexed by agent id. The hot loop
 	// reads node/status/qrank/qnext and the queue links; everything an
-	// activation rarely touches (meter, program, error) sits in separate
+	// activation rarely touches (meter, frame, error) sits in separate
 	// arrays so it stays out of the touched cache lines.
 	node     []ring.NodeID // current (or last) node
 	status   []Status
@@ -147,11 +113,13 @@ type Engine struct {
 	obsHash  []uint64 // folded observation history (Options.TrackState)
 	mailHash []uint64 // folded pending mailbox payloads
 	meter    []memmeter.Meter
-	program  []Program
-	frame    []Frame      // non-nil: the agent steps as a frame
-	coro     []*coroState // lazily created for non-frame agents
-	apis     []apiState   // the per-agent API arena (one backing array)
+	frame    []Frame    // each agent's Program.Frame, stepped once per activation
+	apis     []apiState // the per-agent API arena (one backing array)
 	agentErr []error
+	// coros are the ProgramFunc agents' frames, each holding a
+	// coroutine that Run retires when it ends. Empty for every other
+	// program, so frames pay nothing for it.
+	coros []*coroFrame
 
 	// The per-edge link FIFOs are intrusive singly-linked lists over
 	// agent ids, indexed by the edge's arrival rank: qhead/qtail per
@@ -294,9 +262,7 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 		moves:    make([]int32, k),
 		mailbox:  make([][]Message, k),
 		meter:    make([]memmeter.Meter, k),
-		program:  make([]Program, k),
 		frame:    make([]Frame, k),
-		coro:     make([]*coroState, k),
 		apis:     make([]apiState, k),
 		agentErr: make([]error, k),
 
@@ -340,11 +306,13 @@ func NewEngine(t Topology, homes []ring.NodeID, programs []Program, opts Options
 		e.status[i] = StatusInTransit // in the home node's incoming buffer
 		e.inRank[i] = -1
 		e.qrank[i] = -1
-		e.program[i] = programs[i]
-		if !opts.ForceCoroutine {
-			if fr, ok := programs[i].(Framer); ok {
-				e.frame[i] = fr.Frame()
-			}
+		fr := programs[i].Frame()
+		if fr == nil {
+			return nil, fmt.Errorf("%w: nil frame for agent %d", ErrBadSetup, i)
+		}
+		e.frame[i] = fr
+		if c, ok := fr.(*coroFrame); ok {
+			e.coros = append(e.coros, c)
 		}
 		e.apis[i] = apiState{e: e, id: i}
 		// The initial configuration stores each agent in the incoming
@@ -429,7 +397,9 @@ func (e *Engine) Run() (Result, error) {
 			e.observer(e.snapshot())
 		}
 	}
-	e.shutdown()
+	for _, c := range e.coros {
+		c.stop()
+	}
 	res := e.result()
 	if runErr == nil {
 		for id, err := range e.agentErr {
@@ -664,8 +634,7 @@ func (e *Engine) activateWake(id int) error {
 }
 
 // finishAction is steps 2-4 of the atomic action: deliver all queued
-// messages, resume the program (frame step or coroutine) until it ends
-// the action, and apply the outcome.
+// messages, step the agent's frame, and apply the Action it returns.
 func (e *Engine) finishAction(id int, wasStaying bool) error {
 	// Step 2: deliver all queued messages. Whatever the program does not
 	// read is consumed anyway. (Arrivals always find an empty mailbox —
@@ -680,17 +649,14 @@ func (e *Engine) finishAction(id int, wasStaying bool) error {
 		}
 	}
 
-	ev, ok := e.resume(id)
-	if !ok {
-		return fmt.Errorf("%w: agent %d coroutine exhausted", ErrBadSetup, id)
-	}
+	act := e.stepFrame(id)
 	// Unconsumed messages vanish at the end of the atomic action.
 	e.apis[id].inbox = nil
-	switch ev.kind {
-	case yieldMove:
-		// The port was validated inside MoveVia (or the frame dispatch)
-		// before yielding, so the lookup cannot go out of bounds.
-		r := int(e.et.rank[int(e.et.start[e.node[id]])+ev.port])
+	switch act.Kind {
+	case ActionMove:
+		// stepFrame validated the port, so the lookup cannot go out of
+		// bounds.
+		r := int(e.et.rank[int(e.et.start[e.node[id]])+act.Port])
 		e.moves[id]++
 		e.status[id] = StatusInTransit
 		if wasStaying {
@@ -699,112 +665,60 @@ func (e *Engine) finishAction(id int, wasStaying bool) error {
 		e.enqueue(r, id)
 		if e.sink != nil {
 			detail := ""
-			if ev.port != 0 {
-				detail = fmt.Sprintf("via port %d", ev.port)
+			if act.Port != 0 {
+				detail = fmt.Sprintf("via port %d", act.Port)
 			}
 			e.traceEvent(id, "move", detail)
 		}
-	case yieldAwait:
+	case ActionAwait:
 		e.status[id] = StatusWaiting
 		if !wasStaying {
 			e.addStaying(id)
 		}
 		e.traceEvent(id, "await", "")
-	case yieldDone:
+	default: // ActionDone
 		e.status[id] = StatusHalted
-		e.agentErr[id] = ev.err
+		e.agentErr[id] = act.Err
 		if !wasStaying {
 			e.addStaying(id)
 		}
 		e.traceEvent(id, "halt", "")
-		if ev.err != nil {
-			return fmt.Errorf("agent %d failed: %w", id, ev.err)
+		if act.Err != nil {
+			return fmt.Errorf("agent %d failed: %w", id, act.Err)
 		}
-	default:
-		return fmt.Errorf("%w: unknown yield kind %d", ErrBadSetup, ev.kind)
 	}
 	return nil
 }
 
-// resume runs the agent until it ends the current atomic action: one
-// Step of its frame when it has one, else its coroutine until the next
-// yield. The coroutine is created lazily on the first activation;
-// iter.Pull's runtime-backed goroutine switch makes the engine↔agent
-// handoff a direct transfer of control instead of two channel
-// round-trips through the Go scheduler.
-func (e *Engine) resume(id int) (yieldEvent, bool) {
-	if f := e.frame[id]; f != nil {
-		return e.stepFrame(id, f), true
-	}
-	c := e.coro[id]
-	if c == nil {
-		c = &coroState{}
-		e.coro[id] = c
-		api := &e.apis[id]
-		c.next, c.stop = iter.Pull(func(yield func(yieldEvent) bool) {
-			c.yield = yield
-			defer func() {
-				if r := recover(); r != nil {
-					if err, ok := r.(error); ok && errors.Is(err, errStopped) {
-						// Clean retirement at engine shutdown; the agent stays
-						// in whatever suspended state it was in.
-						return
-					}
-					yield(yieldEvent{kind: yieldDone, err: fmt.Errorf("program panic: %v", r)})
-				}
-			}()
-			err := e.program[id].Run(api)
-			yield(yieldEvent{kind: yieldDone, err: err})
-		})
-	}
-	return c.next()
-}
-
-// stepFrame advances a frame agent by one atomic action and translates
-// the returned Action into the engine's yield form, folding the
-// opMove/opAwait observation opcodes exactly where the blocking API
-// calls fold them on the coroutine path (after every in-action
-// observation, before the action ends).
-func (e *Engine) stepFrame(id int, f Frame) (ev yieldEvent) {
+// stepFrame advances the agent by one atomic action and folds the
+// opMove/opAwait observation opcodes for the returned Action (after
+// every in-action observation, before the action ends). A panic, an
+// out-of-range move port, or an unknown action kind becomes ActionDone
+// with a program error.
+func (e *Engine) stepFrame(id int) (act Action) {
 	defer func() {
 		if r := recover(); r != nil {
-			ev = yieldEvent{kind: yieldDone, err: fmt.Errorf("program panic: %v", r)}
+			act = Action{Kind: ActionDone, Err: fmt.Errorf("program panic: %v", r)}
 		}
 	}()
-	act := f.Step(&e.apis[id])
+	act = e.frame[id].Step(&e.apis[id])
 	switch act.Kind {
 	case ActionMove:
 		if deg := e.et.outDegree(e.node[id]); act.Port < 0 || act.Port >= deg {
-			// The same program error an out-of-range MoveVia raises
-			// through the coroutine recover wrapper.
-			return yieldEvent{kind: yieldDone, err: fmt.Errorf("program panic: %v",
-				fmt.Errorf("move via port %d at node with out-degree %d", act.Port, deg))}
+			return Action{Kind: ActionDone, Err: fmt.Errorf("program panic: move via port %d at node with out-degree %d", act.Port, deg)}
 		}
 		if e.track {
 			e.obsHash[id] = fold(fold(e.obsHash[id], opMove), uint64(act.Port))
 		}
-		return yieldEvent{kind: yieldMove, port: act.Port}
 	case ActionAwait:
 		if e.track {
 			e.obsHash[id] = fold(e.obsHash[id], opAwait)
 		}
-		return yieldEvent{kind: yieldAwait}
 	case ActionDone:
-		return yieldEvent{kind: yieldDone, err: act.Err}
 	default:
-		return yieldEvent{kind: yieldDone, err: fmt.Errorf("frame returned unknown action kind %d", act.Kind)}
+		return Action{Kind: ActionDone, Err: fmt.Errorf("frame returned unknown action kind %d", act.Kind)}
 	}
-}
-
-// shutdown retires all agent coroutines (those parked in a yield at
-// quiescence unwind via the errStopped sentinel). Frame agents have
-// nothing to unwind.
-func (e *Engine) shutdown() {
-	for _, c := range e.coro {
-		if c != nil {
-			c.stop()
-		}
-	}
+	return act
 }
 
 // buildSink resolves Options' trace destinations into the engine's
@@ -840,34 +754,17 @@ type apiState struct {
 
 var _ API = (*apiState)(nil)
 
-func (p *apiState) yieldAndWait(ev yieldEvent) {
-	c := p.e.coro[p.id]
-	if c == nil {
-		// A Frame called a blocking API method: there is no coroutine to
-		// suspend. Abort the agent with a program error (the frame
-		// dispatch recovers this panic).
-		panic(fmt.Errorf("frame agent called a blocking API method"))
-	}
-	if !c.yield(ev) {
-		panic(errStopped)
-	}
-}
+// errBlockingCall is the program error of a frame calling one of the
+// blocking API methods: there is no suspended caller to resume.
+var errBlockingCall = errors.New("frame agent called a blocking API method")
 
-// Move implements API.
-func (p *apiState) Move() { p.MoveVia(0) }
+// Move implements API; frames end an action by returning ActionMove
+// instead.
+func (p *apiState) Move() { panic(errBlockingCall) }
 
-// MoveVia implements API.
-func (p *apiState) MoveVia(port int) {
-	if deg := p.e.et.outDegree(p.e.node[p.id]); port < 0 || port >= deg {
-		// Unwinds the coroutine; the resume wrapper converts the panic
-		// into a program failure for this agent.
-		panic(fmt.Errorf("move via port %d at node with out-degree %d", port, deg))
-	}
-	if p.e.track {
-		p.e.obsHash[p.id] = fold(fold(p.e.obsHash[p.id], opMove), uint64(port))
-	}
-	p.yieldAndWait(yieldEvent{kind: yieldMove, port: port})
-}
+// MoveVia implements API; frames end an action by returning ActionMove
+// instead.
+func (p *apiState) MoveVia(int) { panic(errBlockingCall) }
 
 // OutDegree implements API.
 func (p *apiState) OutDegree() int {
@@ -966,17 +863,9 @@ func (p *apiState) Messages() []Message {
 	return out
 }
 
-// AwaitMessages implements API.
-func (p *apiState) AwaitMessages() []Message {
-	if len(p.inbox) > 0 {
-		return p.Messages()
-	}
-	if p.e.track {
-		p.e.obsHash[p.id] = fold(p.e.obsHash[p.id], opAwait)
-	}
-	p.yieldAndWait(yieldEvent{kind: yieldAwait})
-	return p.Messages()
-}
+// AwaitMessages implements API; frames end an action by returning
+// ActionAwait instead.
+func (p *apiState) AwaitMessages() []Message { panic(errBlockingCall) }
 
 // Meter implements API.
 func (p *apiState) Meter() *memmeter.Meter { return &p.e.meter[p.id] }

@@ -9,15 +9,21 @@ import (
 
 // crosscheckEngine builds one engine over the checkpoint fixture
 // (chatty walkers + a listener + a transient fault — see cpSetup),
-// optionally forcing the coroutine path.
-func crosscheckEngine(t *testing.T, forceCoroutine bool) *Engine {
+// optionally running every program's Run through ProgramFunc instead of
+// its frame.
+func crosscheckEngine(t *testing.T, coroutine bool) *Engine {
 	t.Helper()
+	programs := []Program{&chatty{hops: 7}, &chatty{hops: 5}, &listener{want: 3}}
+	if coroutine {
+		for i, p := range programs {
+			programs[i] = ProgramFunc(p.Run)
+		}
+	}
 	e, err := NewEngine(ring.MustNew(6),
 		[]ring.NodeID{0, 2, 4},
-		[]Program{&chatty{hops: 7}, &chatty{hops: 5}, &listener{want: 3}},
+		programs,
 		Options{
-			TrackState:     true,
-			ForceCoroutine: forceCoroutine,
+			TrackState: true,
 			Faults: FaultSchedule{
 				{Step: 3, From: 1},
 				{Step: 9, From: 1, Up: true},
@@ -33,9 +39,9 @@ func crosscheckEngine(t *testing.T, forceCoroutine bool) *Engine {
 // one schedule in lockstep and demands they agree at every decision
 // point:
 //
-//   - ref runs the programs as coroutines — the replay-only fallback,
-//     the semantics of record (it is the code path the golden traces
-//     pinned long before frames existed);
+//   - ref runs the programs' Run through ProgramFunc's coroutine —
+//     the semantics of record (the golden traces were pinned on it
+//     long before frames existed);
 //   - frm runs the same programs as frames, straight through;
 //   - cpd runs frames but is forced through Checkpoint/Restore at
 //     every single decision — and every fourth decision is abandoned
@@ -43,8 +49,8 @@ func crosscheckEngine(t *testing.T, forceCoroutine bool) *Engine {
 //     checkpoint.
 //
 // Agreement on the enabled sets and the configuration key at every
-// point is the engine-level "restore ≡ replay" guarantee the explorer's
-// checkpoint mode builds on: a checkpointed continuation is
+// point is the engine-level "restore ≡ from-root" guarantee the
+// explorer builds on: a checkpointed continuation is
 // indistinguishable from the uninterrupted run, which is itself
 // indistinguishable from the coroutine reference.
 func TestFrameCoroutineCheckpointCrossCheck(t *testing.T) {
@@ -52,7 +58,7 @@ func TestFrameCoroutineCheckpointCrossCheck(t *testing.T) {
 	frm := crosscheckEngine(t, false)
 	cpd := crosscheckEngine(t, false)
 	if ref.Checkpointable() {
-		t.Fatal("coroutine engine claims to be checkpointable")
+		t.Fatal("ProgramFunc engine claims to be checkpointable")
 	}
 	if !cpd.Checkpointable() {
 		t.Fatal("frame engine is not checkpointable")

@@ -8,9 +8,8 @@ import (
 	"agentring/internal/ring"
 )
 
-// walker moves a fixed number of steps and halts. It implements Framer,
-// so engine tests and benchmarks exercise the frame fast path by
-// default (ForceCoroutine covers the other).
+// walker moves a fixed number of steps and halts: a frame without
+// FrameSaver.
 type walkerProgram struct{ left int }
 
 func walker(steps int) Program { return &walkerProgram{left: steps} }

@@ -3,7 +3,7 @@ package sim
 // ActionKind is how a Frame ends one atomic action.
 type ActionKind int
 
-// Frame actions, mirroring the three ways a coroutine Program yields.
+// Frame actions: the three ways an atomic action ends.
 const (
 	// ActionMove moves the agent along Port (Move() is ActionMove with
 	// Port 0).
@@ -14,60 +14,40 @@ const (
 	ActionDone
 )
 
-// Action is the batched outcome of one Frame step: everything a
-// coroutine program communicates by blocking in Move/MoveVia or
-// AwaitMessages, returned as a value instead.
+// Action is the outcome of one Frame step: what Run expresses by
+// blocking in Move/MoveVia or AwaitMessages, returned as a value.
 type Action struct {
 	Kind ActionKind
 	Port int   // out-port for ActionMove
 	Err  error // program error for ActionDone
 }
 
-// Frame is the data-oriented form of a Program: a small resumable state
-// machine the engine steps once per activation, with no coroutine
-// switch. Step performs the local computation of one atomic action —
-// reading observations and broadcasting through api exactly as a
-// Program would — and returns how the action ends.
+// Frame is the executable form of a Program: a small resumable state
+// machine the engine steps once per activation. Step performs the local
+// computation of one atomic action — the paper's "read the node's
+// tokens, agents and messages, compute" — through api, and returns how
+// the action ends: move, suspend, or halt.
 //
-// Equivalence contract (what keeps frame and coroutine executions of
-// the same algorithm byte-identical in traces and state hashes):
+// Equivalence contract (what keeps a frame byte-identical in traces and
+// state hashes to its Program's Run, executed as ProgramFunc(p.Run)):
 //
-//   - Step must make the same API call sequence the Program's Run makes
-//     between two consecutive blocking calls. The engine folds the
-//     opMove/opAwait observation opcodes for the returned Action
-//     itself, in the same position Move/MoveVia/AwaitMessages fold them
-//     before yielding.
+//   - Step must make the same API call sequence Run makes between two
+//     consecutive blocking calls. The engine folds the opMove/opAwait
+//     observation opcodes for the returned Action itself, in the same
+//     position the blocking calls would.
 //   - Step must not call the blocking methods Move, MoveVia, or
-//     AwaitMessages (they suspend a coroutine that does not exist
-//     here); doing so aborts the agent with a program error.
+//     AwaitMessages; doing so aborts the agent with a program error.
 //   - Before returning ActionAwait, Step should drain Messages():
 //     AwaitMessages returns already-delivered messages without
 //     suspending, so a frame that suspends instead must first have
 //     observed an empty inbox to match. Messages left unread when Step
-//     returns are dropped, exactly as at the end of a coroutine action.
-//   - An out-of-range ActionMove port fails the agent with the same
-//     program error an out-of-range MoveVia raises.
+//     returns are dropped.
+//   - An out-of-range ActionMove port fails the agent with a program
+//     error.
 //
-// Frames exist for speed: the steady-state loop of a frame agent is a
-// plain method call into per-agent state allocated once at engine
-// construction, instead of an iter.Pull goroutine switch per step, and
-// a frame that also implements FrameSaver makes its engine
-// checkpointable. Every algorithm in internal/core (Algorithm 1 and its
-// variants, Algorithms 2+3, Algorithms 4-6, the naive estimator) and
-// the FirstFit baseline is a frame. Programs that don't implement
-// Framer — the noToken baseline and the rendezvous programs — keep the
-// coroutine path; the engine mixes both in one run.
+// Every program in the repository is a frame that also implements
+// FrameSaver, which makes its engines checkpointable; the only frame
+// without it is ProgramFunc's coroutine adapter.
 type Frame interface {
 	Step(api API) Action
-}
-
-// Framer is optionally implemented by Programs that can execute as a
-// Frame. The engine calls Frame once per agent at construction and
-// steps the returned state machine instead of running the coroutine;
-// Run is then never called (it remains the reference semantics, and the
-// cross-check tests execute both forms and compare). Options.
-// ForceCoroutine disables the frame path engine-wide.
-type Framer interface {
-	Program
-	Frame() Frame
 }

@@ -241,9 +241,10 @@ func (s *Adversarial) Pick(_ int, choices []Choice) int {
 // the enabled choice set observed at every decision point. Decision i of
 // the run picks choices[Prefix[i]]; at the decision point just past the
 // prefix the run is handed to Tail, or stopped (PickStop) when Tail is
-// nil. It is the replay primitive of the schedule-space explorer: a
-// prefix of choice indices identifies one node of the schedule tree, and
-// Record carries back the branching structure seen along the way.
+// nil. A prefix of choice indices identifies one node of the explorer's
+// schedule tree, so Controlled re-executes any explored schedule from
+// the initial configuration, and Record carries back the branching
+// structure seen along the way.
 type Controlled struct {
 	// Prefix holds the decision indices to replay, in order.
 	Prefix []int

@@ -8,24 +8,27 @@ import (
 // The model allows messages of any size.
 type Message any
 
-// Program is the algorithm one agent executes. Run is invoked on the
-// agent's own goroutine once the agent is first activated at its home
-// node, and must interact with the ring exclusively through api.
-// Returning from Run puts the agent in the halt state (Definition 1);
-// blocking forever in AwaitMessages leaves it in a suspended state
-// (Definition 2). A non-nil error aborts the whole run.
+// Program is the algorithm one agent executes, in two forms that must
+// be observationally identical (the contract on Frame).
+//
+// Frame is the form the engine executes: it is called once per agent
+// at construction, and the returned state machine is stepped once per
+// atomic action. Run is the same algorithm as the paper's sequential
+// pseudocode, where Move, MoveVia and AwaitMessages return at the
+// agent's next activation; it is the reference semantics, executed by
+// wrapping it as ProgramFunc(p.Run). Halting (Run returning, a frame
+// returning ActionDone) is the paper's halt state (Definition 1);
+// waiting forever for a message is its suspended state (Definition 2).
+// A non-nil error aborts the whole run.
 type Program interface {
 	Run(api API) error
+	Frame() Frame
 }
 
-// ProgramFunc adapts a function to the Program interface.
-type ProgramFunc func(api API) error
-
-// Run implements Program.
-func (f ProgramFunc) Run(api API) error { return f(api) }
-
-// API is the world as one anonymous agent sees it. All methods must be
-// called from the agent's own Run goroutine.
+// API is the world as one anonymous agent sees it, valid during the
+// agent's own activation. Move, MoveVia and AwaitMessages block and are
+// available to Run only (through ProgramFunc); a Frame ends its action
+// by returning the corresponding Action instead.
 type API interface {
 	// Move ends the current atomic action by moving the agent along
 	// port 0 — the forward direction of a ring, and by convention the
@@ -97,11 +100,11 @@ const (
 	// StatusInTransit means the agent is inside a link's FIFO queue
 	// (including the initial home-node incoming buffer).
 	StatusInTransit Status = iota + 1
-	// StatusWaiting means the agent stays at a node blocked in
-	// AwaitMessages — the paper's suspended state.
+	// StatusWaiting means the agent stays at a node awaiting a message
+	// (ActionAwait) — the paper's suspended state.
 	StatusWaiting
-	// StatusHalted means the agent's Run returned — the paper's halt
-	// state.
+	// StatusHalted means the agent halted (ActionDone) — the paper's
+	// halt state.
 	StatusHalted
 )
 
